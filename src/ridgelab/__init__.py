@@ -9,7 +9,7 @@ negative-ridge regime), principal component regression limits, weighted
 the limits at finite (n, p).
 """
 
-from .errors import DomainError, RegimeError, RidgelabError, SolverError
+from .errors import DomainError, RegimeError, SolverError
 from .montecarlo import (
     IllConditionedDraw,
     MatrixEnsemble,
@@ -23,7 +23,6 @@ from .montecarlo import (
     simulate,
 )
 from .optimize import (
-    LambdaOptResult,
     TwoPointSpec,
     classify_sign,
     conditional_means,
@@ -44,12 +43,8 @@ from .recipes import (
     reproduce_table,
 )
 from .risk import (
-    AlphaPath,
-    DerivativeParts,
     RiskEvaluation,
     alpha_path_risk,
-    alpha_path_state,
-    alternative_total_risk,
     asymptotic_risk,
     interpolate_penalty,
     pcr_curve,
@@ -61,7 +56,6 @@ from .risk import (
 )
 from .spectra import (
     ClippedSquareNormal,
-    ConditionalLaw,
     JointSpectrum,
     ModelSpec,
     ShiftedAbsNormal,
@@ -77,14 +71,9 @@ from .spectra import (
     truncate_top,
 )
 from .stieltjes import (
-    CompanionSolution,
-    EdgeInfo,
     SolverConfig,
-    StieltjesSolution,
     find_edge,
     lambda_of_m,
-    second_derivative,
-    solve_companion,
     solve_m,
     solve_m_theta,
 )
@@ -92,36 +81,26 @@ from .stieltjes import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaPath",
     "ClippedSquareNormal",
-    "CompanionSolution",
-    "ConditionalLaw",
-    "DerivativeParts",
     "DomainError",
-    "EdgeInfo",
     "GENERIC_RECIPES",
     "IllConditionedDraw",
     "JointSpectrum",
-    "LambdaOptResult",
     "MatrixEnsemble",
     "ModelSpec",
     "MonteCarloConfig",
     "RECIPE_NAMES",
     "REPRODUCE_KEYS",
     "RegimeError",
-    "RidgelabError",
     "RiskEvaluation",
     "ShiftedAbsNormal",
     "ShiftedInvAbsNormal",
     "SolverConfig",
     "SolverError",
-    "StieltjesSolution",
     "TwoPointSpec",
     "Uniform",
     "WeightedSpectrum",
     "alpha_path_risk",
-    "alpha_path_state",
-    "alternative_total_risk",
     "asymptotic_risk",
     "classify_sign",
     "conditional_means",
@@ -150,10 +129,8 @@ __all__ = [
     "risk_curve",
     "risk_derivative",
     "sample_design",
-    "second_derivative",
     "select_weighting",
     "simulate",
-    "solve_companion",
     "solve_m",
     "solve_m_theta",
     "spectrum_from_json",

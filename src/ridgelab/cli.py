@@ -14,17 +14,20 @@ byte-identical.  Exit codes: 0 success, 1 usage error, 2 domain error
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
 
-from .errors import DomainError, SolverError
+from .errors import DomainError, RegimeError, SolverError
 from .montecarlo import MonteCarloConfig, MatrixEnsemble, simulate
 from .optimize import lambda_opt_search, select_weighting
 from .recipes import (
+    PENALTY_CANDIDATES,
     RECIPE_NAMES,
     REPRODUCE_KEYS,
     recipe_ensemble,
+    penalty_rows,
     recipe_spectrum,
     reproduce_table,
 )
@@ -37,7 +40,16 @@ _DEFAULT_SEED = 20260816
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; this CLI reserves
-    2 for domain errors, so remap usage problems to exit 1."""
+    2 for domain errors, so remap usage problems to exit 1.
+
+    Arguments such as ``-5e-05`` or ``-0.15:3:25`` are values, not
+    options: this is the negative-number pattern of Python 3.13's argparse,
+    where older versions only accept plain decimals.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -72,53 +84,53 @@ def emit(columns, rows, fmt: str = "csv", out: str | None = None) -> None:
         sys.stdout.write(text)
 
 
+def _parse(convert, value, what: str):
+    """``convert(value)``, with malformed input raised as a DomainError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"bad {what}: {exc}") from exc
+
+
 def _parse_grid(text: str) -> list[float]:
     """Grid syntax: 'start:stop:count' (inclusive linspace) or 'a,b,c'."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise DomainError(f"bad grid {text!r}; expected start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = (_parse(float, v, "grid") for v in parts[:2])
+        count = _parse(int, parts[2], "grid count")
         if count < 1:
             raise DomainError("grid count must be at least 1")
         return [float(v) for v in np.linspace(start, stop, count)]
-    return [float(v) for v in text.split(",")]
+    return [_parse(float, v, "grid") for v in text.split(",")]
 
 
 def _load_spectrum(text: str, relation: str | None, n_atoms: int, alpha):
-    """Resolve --spectrum: recipe name, then pointmass:h[,g], then inline
-    JSON, then a JSON file path."""
+    """Resolve a --recipe or --spectrum value: recipe name, then
+    pointmass:h[,g], then inline JSON, then a JSON file path."""
     if text in RECIPE_NAMES:
         return recipe_spectrum(text, relation=relation, n_atoms=n_atoms, alpha=alpha)
     if text.startswith("pointmass:"):
         parts = text.removeprefix("pointmass:").split(",")
         if len(parts) not in (1, 2):
             raise DomainError(f"bad point mass {text!r}; expected pointmass:h[,g]")
-        h = float(parts[0])
-        g = float(parts[1]) if len(parts) == 2 else 1.0
-        return point_mass(h, g)
+        return _parse(lambda hg: point_mass(*(float(v) for v in hg)), parts, "point mass")
     stripped = text.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
-        return spectrum_from_json(json.loads(text))
+        return _parse(spectrum_from_json, text, "spectrum")
     if not os.path.exists(text):
         raise DomainError(f"spectrum {text!r} is not a recipe, pointmass, JSON, or file")
     with open(text) as fh:
-        return spectrum_from_json(json.load(fh))
+        return _parse(spectrum_from_json, fh.read(), f"spectrum file {text!r}")
 
 
 def _resolve_spectrum(args):
-    recipe = getattr(args, "recipe", None)
-    spectrum = getattr(args, "spectrum", None)
-    relation = getattr(args, "relation", None)
-    alpha = getattr(args, "alpha", None)
-    n_atoms = getattr(args, "n_atoms", 2048)
-    if recipe is not None and spectrum is not None:
+    if args.recipe is not None and args.spectrum is not None:
         raise DomainError("pass either --recipe or --spectrum, not both")
-    if recipe is not None:
-        return recipe_spectrum(recipe, relation=relation, n_atoms=n_atoms, alpha=alpha)
-    if spectrum is None:
+    if args.recipe is None and args.spectrum is None:
         raise DomainError("one of --recipe or --spectrum is required")
-    return _load_spectrum(spectrum, relation, n_atoms, alpha)
+    return _load_spectrum(args.recipe or args.spectrum, args.relation, args.n_atoms, args.alpha)
 
 
 def _sigma2(args, spec) -> float:
@@ -143,11 +155,27 @@ def _norm_scale(model: ModelSpec) -> float:
     return model.gamma * model.spectrum.e_gh()
 
 
-def _add_model_flags(sub, with_recipe: bool = True) -> None:
+def _curve_rows(axis: str, evaluate, model: ModelSpec, grid) -> tuple:
+    """Risk table over ``grid``.  A point outside the admissible domain
+    gets a note instead of numbers: ``regime-boundary`` for a RegimeError,
+    ``outside-domain`` for any other DomainError."""
+    scale = _norm_scale(model)
+    rows = []
+    for x in grid:
+        try:
+            ev = evaluate(model, x)
+        except DomainError as exc:
+            note = "regime-boundary" if isinstance(exc, RegimeError) else "outside-domain"
+            rows.append((x, "", "", "", "", note))
+            continue
+        rows.append((x, ev.total, ev.bias, ev.variance, ev.total / scale, ""))
+    return [axis, "total", "bias", "variance", "normalized_risk", "note"], rows
+
+
+def _add_model_flags(sub) -> None:
     sub.add_argument("--gamma", type=float, required=True, help="aspect ratio p/n limit")
     sub.add_argument("--spectrum", help="recipe name, pointmass:h[,g], inline JSON, or JSON file")
-    if with_recipe:
-        sub.add_argument("--recipe", choices=RECIPE_NAMES, help="named recipe (alternative to --spectrum)")
+    sub.add_argument("--recipe", choices=RECIPE_NAMES, help="named recipe (alternative to --spectrum)")
     sub.add_argument("--relation", choices=["aligned", "misaligned", "random"], help="pairing for generic recipes")
     sub.add_argument("--alpha", type=float, help="exponent for recipes parameterized by alpha")
     sub.add_argument("--n-atoms", dest="n_atoms", type=int, default=2048, help="atoms for continuous laws")
@@ -163,19 +191,8 @@ def _cmd_solve_m(args):
 
 
 def _cmd_risk_curve(args):
-    spec = _resolve_spectrum(args)
-    model = _model(args, spec)
-    scale = _norm_scale(model)
-    columns = ["lambda", "total", "bias", "variance", "normalized_risk", "note"]
-    rows = []
-    for lam in _parse_grid(args.lambda_grid):
-        try:
-            ev = asymptotic_risk(model, lam)
-        except DomainError:
-            rows.append((lam, "", "", "", "", "outside-domain"))
-            continue
-        rows.append((lam, ev.total, ev.bias, ev.variance, ev.total / scale, ""))
-    return columns, rows
+    model = _model(args, _resolve_spectrum(args))
+    return _curve_rows("lambda", asymptotic_risk, model, _parse_grid(args.lambda_grid))
 
 
 def _cmd_lambda_opt(args):
@@ -196,45 +213,17 @@ def _cmd_lambda_opt(args):
 
 
 def _cmd_pcr_curve(args):
-    spec = _resolve_spectrum(args)
-    model = _model(args, spec)
-    scale = _norm_scale(model)
-    columns = ["theta", "total", "bias", "variance", "normalized_risk", "note"]
-    rows = []
-    for theta in _parse_grid(args.theta_grid):
-        try:
-            ev = pcr_risk(model, theta)
-        except DomainError as exc:
-            note = "regime-boundary" if "boundary" in str(exc) else "outside-domain"
-            rows.append((theta, "", "", "", "", note))
-            continue
-        rows.append((theta, ev.total, ev.bias, ev.variance, ev.total / scale, ""))
-    return columns, rows
-
-
-_WEIGHT_MODES = (
-    ("design", lambda s, v: np.ones_like(s)),
-    ("signal", lambda s, v: s / v),
-    ("identity", lambda s, v: s),
-    ("inverse-design", lambda s, v: s**2),
-    ("inverse-signal", lambda s, v: s * v),
-)
+    model = _model(args, _resolve_spectrum(args))
+    return _curve_rows("theta", pcr_risk, model, _parse_grid(args.theta_grid))
 
 
 def _cmd_weight_compare(args):
     spec = _resolve_spectrum(args)
     if not isinstance(spec, WeightedSpectrum):
         raise DomainError("weight-compare needs a weighted (s, v, r) spectrum")
-    sigma2 = _sigma2(args, spec)
-    columns = ["penalty", "lambda_opt", "risk_at_opt", "normalized_risk"]
-    scale = args.gamma * float(np.dot(spec.w, spec.s * spec.v))
-    rows = []
-    candidates = list(_WEIGHT_MODES) + [("s-measurable", None)]
-    for label, rfun in candidates:
-        wspec = spec.with_r(select_weighting(spec, "s_only_optimal") if rfun is None else rfun)
-        res = lambda_opt_search(weighted_model(wspec, args.gamma, sigma2))
-        rows.append((label, res.lambda_opt, res.risk_at_opt, res.risk_at_opt / scale))
-    return columns, rows
+    candidates = PENALTY_CANDIDATES + (("s-measurable", select_weighting(spec, "s_only_optimal")),)
+    rows = penalty_rows(spec, args.gamma, _sigma2(args, spec), candidates)
+    return ["penalty", "lambda_opt", "risk_at_opt", "normalized_risk"], rows
 
 
 def _cmd_simulate(args):
@@ -273,53 +262,39 @@ def _run_scenario(path: str):
     for key in ("gamma", "grid"):
         if key not in doc:
             raise DomainError(f"scenario {path!r} is missing required entry {key!r}")
-    gamma = float(doc["gamma"])
+
+    def entry(key, convert=float, default=None, block=doc):
+        return _parse(convert, block[key], f"scenario entry {key!r}") if key in block else default
+
     if "recipe" in doc:
         spec = recipe_spectrum(
             doc["recipe"],
             relation=doc.get("relation"),
-            n_atoms=int(doc.get("n_atoms", 2048)),
-            alpha=doc.get("alpha"),
+            n_atoms=entry("n_atoms", int, 2048),
+            alpha=entry("alpha"),
         )
     elif "spectrum" in doc:
-        spec = spectrum_from_json(doc["spectrum"])
+        spec = _parse(spectrum_from_json, doc["spectrum"], "scenario spectrum")
     else:
         raise DomainError(f"scenario {path!r} needs a 'recipe' or 'spectrum' entry")
-    if isinstance(spec, WeightedSpectrum):
-        model = weighted_model(spec, gamma, 0.0)
-        e_gh = model.spectrum.e_gh()
-    else:
-        e_gh = spec.e_gh()
-    sigma2 = float(doc["sigma2"]) if "sigma2" in doc else (e_gh / float(doc["snr"]) if "snr" in doc else 0.0)
-    if isinstance(spec, WeightedSpectrum):
-        model = weighted_model(spec, gamma, sigma2)
-    else:
-        model = ModelSpec(gamma, sigma2, spec)
+    model = _model(argparse.Namespace(gamma=entry("gamma"), sigma2=entry("sigma2"), snr=entry("snr")), spec)
     sweep = doc.get("sweep", "lambda")
-    grid = [float(v) for v in doc["grid"]]
-    scale = _norm_scale(model)
-    evaluate = asymptotic_risk if sweep == "lambda" else pcr_risk
     if sweep not in ("lambda", "theta"):
         raise DomainError(f"scenario sweep must be 'lambda' or 'theta', got {sweep!r}")
-    axis = "lambda" if sweep == "lambda" else "theta"
-    columns = [axis, "total", "bias", "variance", "normalized_risk", "note"]
-    rows = []
-    for value in grid:
-        try:
-            ev = evaluate(model, value)
-        except DomainError:
-            rows.append((value, "", "", "", "", "outside-domain"))
-            continue
-        rows.append((value, ev.total, ev.bias, ev.variance, ev.total / scale, ""))
+    grid = entry("grid", lambda values: [float(v) for v in values])
     mc = doc.get("mc")
-    if mc and sweep == "lambda" and isinstance(spec, JointSpectrum):
+    if mc and (sweep != "lambda" or not isinstance(spec, JointSpectrum)):
+        raise DomainError(f"scenario {path!r}: an mc block needs a lambda sweep on a joint (h, g) spectrum")
+    columns, rows = _curve_rows(sweep, asymptotic_risk if sweep == "lambda" else pcr_risk, model, grid)
+    if mc:
         if "n" not in mc:
             raise DomainError(f"scenario {path!r} mc block is missing required entry 'n'")
-        ens = MatrixEnsemble.from_joint(spec, int(mc["n"]), int(round(gamma * int(mc["n"]))))
+        n = entry("n", int, block=mc)
+        ens = MatrixEnsemble.from_joint(spec, n, int(round(model.gamma * n)))
         config = MonteCarloConfig(
-            replicates=int(mc.get("replicates", 50)), master_seed=int(mc.get("seed", _DEFAULT_SEED))
+            replicates=entry("replicates", int, 50, mc), master_seed=entry("seed", int, _DEFAULT_SEED, mc)
         )
-        mc_rows = simulate(ens, grid, sigma2, config)
+        mc_rows = simulate(ens, grid, model.sigma2, config)
         columns += ["mc_mean", "mc_se", "dropped_replicates"]
         rows = [
             row + (rec["mc_mean"], rec["mc_se"], float(rec["dropped"]))
@@ -413,11 +388,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("risk-curve", help="asymptotic risk over a penalty grid")
     _add_model_flags(p)
-    p.add_argument(
-        "--lambda-grid",
-        required=True,
-        help="'start:stop:count' or comma list; use --lambda-grid=-0.15:3:25 when it starts with '-'",
-    )
+    p.add_argument("--lambda-grid", required=True, help="'start:stop:count' or comma list")
     add_output_flags(p)
     p.set_defaults(func=_cmd_risk_curve)
 

@@ -80,21 +80,21 @@ class MatrixEnsemble:
     @staticmethod
     def from_joint(spectrum: JointSpectrum, n: int, p: int) -> "MatrixEnsemble":
         """Expand atoms to length-``p`` vectors by proportional counts."""
-        counts = _proportional_counts(spectrum.w, p)
+        counts = proportional_counts(spectrum.w, p)
         d_x = np.repeat(spectrum.h, counts)
         d_beta = np.repeat(spectrum.g, counts)
         return MatrixEnsemble(n=n, p=p, d_x=d_x, d_beta=d_beta, d_w=np.ones(p))
 
     @staticmethod
     def from_weighted(wspec: WeightedSpectrum, n: int, p: int) -> "MatrixEnsemble":
-        counts = _proportional_counts(wspec.w, p)
+        counts = proportional_counts(wspec.w, p)
         d_x = np.repeat(wspec.s, counts)
         d_beta = np.repeat(wspec.v, counts)
         d_w = np.repeat(wspec.s / wspec.r, counts)
         return MatrixEnsemble(n=n, p=p, d_x=d_x, d_beta=d_beta, d_w=d_w)
 
 
-def _proportional_counts(weights: np.ndarray, p: int) -> np.ndarray:
+def proportional_counts(weights: np.ndarray, p: int) -> np.ndarray:
     """Largest-remainder apportionment of ``p`` coordinates to atoms."""
     exact = np.asarray(weights, dtype=float) * p
     counts = np.floor(exact).astype(int)

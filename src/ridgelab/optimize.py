@@ -18,11 +18,14 @@ import numpy as np
 from .errors import DomainError, RegimeError, SolverError
 from .risk import asymptotic_risk, risk_derivative, weighted_model
 from .spectra import JointSpectrum, ModelSpec, WeightedSpectrum
-from .stieltjes import DEFAULT_CONFIG, SolverConfig, find_edge, solve_m
+from .stieltjes import DEFAULT_CONFIG, SolverConfig, bisect, find_edge, golden_min, solve_m
 
 _GRID_POINTS = 512
 _ZERO_ATOL = 1e-7
 _TIE_RTOL = 1e-9
+# golden section on the risk stops at width <= 2e-11 * max(b, -a, 0.5): 1e-11
+# relative to |a| + |b| on a narrow interval, never below 1e-11 absolute
+_GOLDEN_RTOL, _GOLDEN_FLOOR = 2e-11, 0.5
 
 
 @dataclass(frozen=True)
@@ -210,40 +213,6 @@ def _deriv_sum(model: ModelSpec, lam: float, config: SolverConfig) -> float:
     return parts.part3 + parts.part4
 
 
-def _refine_root(model: ModelSpec, la: float, lb: float, da: float, config: SolverConfig) -> float:
-    for _ in range(config.max_iter):
-        mid = 0.5 * (la + lb)
-        dm = _deriv_sum(model, mid, config)
-        if dm == 0.0:
-            return mid
-        if (dm < 0.0) == (da < 0.0):
-            la, da = mid, dm
-        else:
-            lb = mid
-        if lb - la <= config.tol * max(1.0, abs(mid)):
-            break
-    return 0.5 * (la + lb)
-
-
-def _golden_min(f, a: float, b: float, config: SolverConfig) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(3 * config.max_iter):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a <= 1e-11 * max(1.0, abs(a) + abs(b)):
-            break
-    return 0.5 * (a + b)
-
-
 def lambda_opt_search(model: ModelSpec, config: SolverConfig = DEFAULT_CONFIG) -> LambdaOptResult:
     """Locate the risk-minimizing regularization by derivative sign scan.
 
@@ -273,7 +242,9 @@ def lambda_opt_search(model: ModelSpec, config: SolverConfig = DEFAULT_CONFIG) -
         if da == 0.0:
             roots.append(float(grid[a]))
         elif da * db < 0.0:
-            roots.append(_refine_root(model, float(grid[a]), float(grid[b]), da, config))
+            sign = math.copysign(1.0, da)  # bisect wants f > 0 left of the root
+            roots.append(bisect(lambda t: sign * _deriv_sum(model, t, config), float(grid[a]), float(grid[b]),
+                                config.tol, config.max_iter, 1.0))
     if finite.size and derivs[idx[-1]] == 0.0:
         roots.append(float(grid[idx[-1]]))
 
@@ -282,7 +253,8 @@ def lambda_opt_search(model: ModelSpec, config: SolverConfig = DEFAULT_CONFIG) -
         candidates.append((0.0, asymptotic_risk(model, 0.0, config).total, "golden_section"))
     if not roots:
         a = float(grid[1]) if underparam else lo
-        lam_g = _golden_min(lambda t: asymptotic_risk(model, t, config).total, a, hi, config)
+        lam_g = golden_min(lambda t: asymptotic_risk(model, t, config).total, a, hi,
+                           _GOLDEN_RTOL, 3 * config.max_iter, _GOLDEN_FLOOR)
         candidates.append((lam_g, asymptotic_risk(model, lam_g, config).total, "golden_section"))
 
     candidates.sort(key=lambda c: c[1])

@@ -39,7 +39,7 @@ from .montecarlo import (
     D_VECTOR_STREAM,
     MatrixEnsemble,
     MonteCarloConfig,
-    _proportional_counts,
+    proportional_counts,
     replicate_rng,
     simulate,
 )
@@ -57,6 +57,7 @@ RECIPE_NAMES = GENERIC_RECIPES + (
 )
 
 _ALPHA_RECIPES = ("fig4-twopoint", "fig5-right")
+_RELATIONS = ("aligned", "misaligned", "random")
 
 # (kind, payload) marginals: ("dc", values, weights) or ("ct", law)
 _GENERIC_MARGINALS = {
@@ -76,14 +77,11 @@ _FIG7_ATOMS = {
 
 
 def _marginal_samples(marginal, n_atoms: int) -> np.ndarray:
-    kind = marginal[0]
-    if kind == "dc":
+    if marginal[0] == "dc":
         _, values, weights = marginal
-        counts = _proportional_counts(np.asarray(weights), n_atoms)
-        return np.repeat(np.asarray(values, dtype=float), counts)
-    law = marginal[1]
+        return np.repeat(np.asarray(values, dtype=float), proportional_counts(np.asarray(weights), n_atoms))
     q = (np.arange(n_atoms) + 0.5) / n_atoms
-    return np.asarray(law.quantile(q), dtype=float)
+    return np.asarray(marginal[1].quantile(q), dtype=float)
 
 
 def _marginal_mean(marginal, n_atoms: int) -> float:
@@ -97,17 +95,28 @@ def _marginal_draw(marginal, rng: np.random.Generator, p: int) -> np.ndarray:
     """Finite population: exact proportions for discrete marginals,
     independent draws for continuous ones."""
     if marginal[0] == "dc":
-        _, values, weights = marginal
-        counts = _proportional_counts(np.asarray(weights), p)
-        return np.repeat(np.asarray(values, dtype=float), counts)
-    law = marginal[1]
-    return np.asarray(law.quantile(rng.random(p)), dtype=float)
+        return _marginal_samples(marginal, p)
+    return np.asarray(marginal[1].quantile(rng.random(p)), dtype=float)
 
 
-def _need_alpha(name: str, alpha) -> float:
+def _recipe_args(name: str, relation, alpha) -> tuple:
+    """Check a recipe request; returns ``(relation, alpha)`` with the
+    generic recipes' relation defaulted and alpha as a float."""
+    if name not in RECIPE_NAMES:
+        raise DomainError(f"unknown recipe {name!r}; known: {', '.join(RECIPE_NAMES)}")
+    if name in GENERIC_RECIPES:
+        relation = relation or "aligned"
+        if relation not in _RELATIONS:
+            raise DomainError(f"unknown relation: {relation!r}")
+    elif relation is not None:
+        raise DomainError(f"recipe {name!r} has a fixed pairing; relation does not apply")
+    if name not in _ALPHA_RECIPES:
+        if alpha is not None:
+            raise DomainError(f"recipe {name!r} takes no alpha")
+        return relation, None
     if alpha is None:
         raise DomainError(f"recipe {name!r} requires an alpha parameter")
-    return float(alpha)
+    return relation, float(alpha)
 
 
 def recipe_spectrum(name: str, relation: str | None = None, n_atoms: int = 2048, alpha=None):
@@ -118,12 +127,8 @@ def recipe_spectrum(name: str, relation: str | None = None, n_atoms: int = 2048,
     a JointSpectrum or, for the generalized-penalty figures, a
     WeightedSpectrum.
     """
-    if name not in RECIPE_NAMES:
-        raise DomainError(f"unknown recipe {name!r}; known: {', '.join(RECIPE_NAMES)}")
+    relation, alpha = _recipe_args(name, relation, alpha)
     if name in GENERIC_RECIPES:
-        if alpha is not None:
-            raise DomainError(f"recipe {name!r} takes no alpha")
-        relation = relation or "aligned"
         mx, mb = _GENERIC_MARGINALS[name]
         if relation == "random":
             h = _marginal_samples(mx, n_atoms)
@@ -131,15 +136,10 @@ def recipe_spectrum(name: str, relation: str | None = None, n_atoms: int = 2048,
             w = np.full(h.size, 1.0 / h.size)
             return JointSpectrum(np.column_stack([h, np.full(h.size, g_mean), w])).merged()
         return relate(_marginal_samples(mx, n_atoms), _marginal_samples(mb, n_atoms), relation).merged()
-    if relation is not None:
-        raise DomainError(f"recipe {name!r} has a fixed pairing; relation does not apply")
-    if name in _ALPHA_RECIPES:
-        a = _need_alpha(name, alpha)
-        if name == "fig4-twopoint":
-            return JointSpectrum([(1.0, 1.0, 0.75), (5.0, 5.0**a, 0.25)])
-        return WeightedSpectrum([(1.0, 1.0, 1.0, 0.75), (5.0, 25.0, 5.0 ** (1.0 - 2.0 * a), 0.25)])
-    if alpha is not None:
-        raise DomainError(f"recipe {name!r} takes no alpha")
+    if name == "fig4-twopoint":
+        return JointSpectrum([(1.0, 1.0, 0.75), (5.0, 5.0**alpha, 0.25)])
+    if name == "fig5-right":
+        return WeightedSpectrum([(1.0, 1.0, 1.0, 0.75), (5.0, 25.0, 5.0 ** (1.0 - 2.0 * alpha), 0.25)])
     if name == "fig5-left":
         return WeightedSpectrum(
             [(1.0, 1.0, 1.0, 0.25), (2.0, 1.0, 2.0, 0.25), (3.0, 1.0, 3.0, 0.25), (4.0, 5.0, 4.0, 0.25)]
@@ -167,16 +167,15 @@ def recipe_ensemble(
 ) -> MatrixEnsemble:
     """Finite population matching a recipe, for Monte Carlo runs.
 
-    Discrete marginals get exact proportional coordinate counts;
-    continuous ones are drawn independently from the dedicated d-vector
-    stream of ``master_seed`` (design values first, then signal values,
-    so results are reproducible bit for bit).
+    Discrete parts get exact proportional coordinate counts (a fixed-atom
+    recipe expands its spectrum's atoms); the continuous parts of the
+    generic and ``fig6-*`` recipes are drawn independently from the
+    dedicated d-vector stream of ``master_seed`` (design values first,
+    then signal values, so results are reproducible bit for bit).
     """
-    if name not in RECIPE_NAMES:
-        raise DomainError(f"unknown recipe {name!r}; known: {', '.join(RECIPE_NAMES)}")
+    relation, alpha = _recipe_args(name, relation, alpha)
     rng = replicate_rng(master_seed, D_VECTOR_STREAM)
     if name in GENERIC_RECIPES:
-        relation = relation or "aligned"
         mx, mb = _GENERIC_MARGINALS[name]
         d_x = np.sort(_marginal_draw(mx, rng, p))
         d_b = np.sort(_marginal_draw(mb, rng, p))
@@ -184,30 +183,17 @@ def recipe_ensemble(
             d_b = d_b[::-1]
         elif relation == "random":
             d_b = rng.permutation(d_b)
-        elif relation != "aligned":
-            raise DomainError(f"unknown relation: {relation!r}")
         return MatrixEnsemble(n=n, p=p, d_x=d_x, d_beta=d_b, d_w=np.ones(p))
-    if relation is not None:
-        raise DomainError(f"recipe {name!r} has a fixed pairing; relation does not apply")
-    if name == "fig4-twopoint":
-        a = _need_alpha(name, alpha)
-        counts = _proportional_counts(np.array([0.75, 0.25]), p)
-        d_x = np.repeat([1.0, 5.0], counts)
-        return MatrixEnsemble(n=n, p=p, d_x=d_x, d_beta=d_x**a, d_w=np.ones(p))
-    if name in ("fig5-left", "fig5-right"):
-        wspec = recipe_spectrum(name, alpha=alpha)
-        return MatrixEnsemble.from_weighted(wspec, n, p)
     if name in ("fig6-left", "fig6-right"):
-        if alpha is not None:
-            raise DomainError(f"recipe {name!r} takes no alpha")
         a = rng.standard_normal(p)
         b = rng.standard_normal(p)
         s = np.abs(a) + 5.0 if name == "fig6-left" else 1.0 / np.abs(a) + 2.0
         v = (np.abs(a) + 0.5 * b) ** 2 + 1.0
         return MatrixEnsemble(n=n, p=p, d_x=s, d_beta=v, d_w=np.ones(p))
-    if alpha is not None:
-        raise DomainError(f"recipe {name!r} takes no alpha")
-    return MatrixEnsemble.from_joint(JointSpectrum(_FIG7_ATOMS[name]), n, p)
+    spec = recipe_spectrum(name, alpha=alpha)
+    if isinstance(spec, WeightedSpectrum):
+        return MatrixEnsemble.from_weighted(spec, n, p)
+    return MatrixEnsemble.from_joint(spec, n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +215,9 @@ REPRODUCE_KEYS = (
 _FIG2_RELATION = {"fig2a": "aligned", "fig2b": "misaligned", "fig2c": "random"}
 _GAMMA_GRID = (1.2, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 
-_WEIGHT_CANDIDATES = (
+# candidate penalty profiles r(s, v) of the fig5-left table and of the
+# weight-compare command
+PENALTY_CANDIDATES = (
     ("design", lambda s, v: np.ones_like(s)),
     ("signal", lambda s, v: s / v),
     ("identity", lambda s, v: s),
@@ -272,20 +260,23 @@ def _fig4_left_table():
     return columns, rows
 
 
-def _weighted_opt_rows(wspec: WeightedSpectrum, gamma: float, sigma2: float, label: str):
+def _weighted_optimum(wspec: WeightedSpectrum, gamma: float, sigma2: float) -> tuple:
     res = lambda_opt_search(weighted_model(wspec, gamma, sigma2))
     scale = gamma * float(np.dot(wspec.w, wspec.s * wspec.v))
-    return (gamma, label, res.lambda_opt, res.risk_at_opt, res.risk_at_opt / scale)
+    return res.lambda_opt, res.risk_at_opt, res.risk_at_opt / scale
+
+
+def penalty_rows(wspec: WeightedSpectrum, gamma: float, sigma2: float, candidates=PENALTY_CANDIDATES) -> list:
+    """One ``(label, lambda_opt, risk_at_opt, normalized_risk)`` row per
+    ``(label, r)`` candidate, ``r`` a profile ``r(s, v)`` or per-atom array;
+    the risk is normalized by ``gamma * E[s v]``."""
+    return [(label,) + _weighted_optimum(wspec.with_r(r), gamma, sigma2) for label, r in candidates]
 
 
 def _fig5_left_table():
     columns = ["gamma", "penalty", "lambda_opt", "risk_at_opt", "normalized_risk"]
     base = recipe_spectrum("fig5-left")
-    rows = []
-    for gamma in _GAMMA_GRID:
-        for label, rfun in _WEIGHT_CANDIDATES:
-            rows.append(_weighted_opt_rows(base.with_r(rfun), gamma, 1.0, label))
-    return columns, rows
+    return columns, [(gamma,) + row for gamma in _GAMMA_GRID for row in penalty_rows(base, gamma, 1.0)]
 
 
 def _fig5_right_table():
@@ -293,9 +284,7 @@ def _fig5_right_table():
     rows = []
     for gamma in _GAMMA_GRID:
         for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-            wspec = recipe_spectrum("fig5-right", alpha=alpha)
-            row = _weighted_opt_rows(wspec, gamma, 1.0, "")
-            rows.append((gamma, alpha, row[2], row[3], row[4]))
+            rows.append((gamma, alpha) + _weighted_optimum(recipe_spectrum("fig5-right", alpha=alpha), gamma, 1.0))
     return columns, rows
 
 
@@ -307,11 +296,7 @@ def _fig6_table(key: str):
         ("identity", lambda s, v: s),
         ("signal-product", lambda s, v: s * v),
     )
-    rows = []
-    for gamma in _GAMMA_GRID:
-        for label, rfun in candidates:
-            rows.append(_weighted_opt_rows(base.with_r(rfun), gamma, 1.0, label))
-    return columns, rows
+    return columns, [(gamma,) + row for gamma in _GAMMA_GRID for row in penalty_rows(base, gamma, 1.0, candidates)]
 
 
 def _fig7_pcr_table():

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegimeError, SolverError
-from .spectra import JointSpectrum, ModelSpec, WeightedSpectrum, split_top_mass, truncate_top
+from .spectra import ModelSpec, WeightedSpectrum, split_top_mass, truncate_top
 from .stieltjes import DEFAULT_CONFIG, SolverConfig, StieltjesSolution, solve_m, solve_m_theta
 
 _FORM_AGREEMENT_TOL = 1e-10
@@ -66,20 +66,6 @@ class DerivativeParts:
     @property
     def value(self) -> float:
         return self.prefactor * (self.part3 + self.part4)
-
-
-@dataclass(frozen=True)
-class AlphaPath:
-    """State along the penalty-interpolation path between two profiles.
-
-    ``r_alpha_atoms`` are the interpolated penalty eigenvalues
-    ``alpha * s v + (1 - alpha) * r`` and ``psi_atoms`` the products
-    ``s v * m_alpha`` entering the path-derivative analysis.
-    """
-
-    alpha: float
-    r_alpha_atoms: tuple
-    psi_atoms: tuple
 
 
 def _risk_from_solution(model: ModelSpec, sol: StieltjesSolution) -> RiskEvaluation:
@@ -138,22 +124,6 @@ def risk_derivative(model: ModelSpec, lam: float, config: SolverConfig = DEFAULT
     part4 = e_ghz_c3 - model.gamma * e_z2_c3 * e_gh_c2 / margin
     prefactor = 2.0 * model.gamma * sol.m_prime**2 / sol.m**3
     return DerivativeParts(part3=part3, part4=part4, prefactor=prefactor)
-
-
-def alternative_total_risk(model: ModelSpec, lam: float, config: SolverConfig = DEFAULT_CONFIG) -> float:
-    """Total risk through the independent margin identity.
-
-    Algebraically equal to :func:`asymptotic_risk`'s total; kept as a
-    cross-check because the two routes fail differently under numerical
-    stress.
-    """
-    sol = solve_m(model, lam, config)
-    spec = model.spectrum
-    zeta = spec.h * sol.m
-    frac = zeta / (1.0 + zeta)
-    margin = 1.0 - model.gamma * float(np.dot(spec.w, frac**2))
-    num = model.sigma2 + model.gamma * float(np.dot(spec.w, spec.g * spec.h / (1.0 + zeta) ** 2))
-    return num / margin
 
 
 def _display_form_numerator(spectrum, theta: float, m: float, gamma: float) -> float:
@@ -272,24 +242,3 @@ def alpha_path_risk(
     """Risk at one point of the penalty-interpolation path."""
     return weighted_risk(interpolate_penalty(wspec, alpha), gamma, sigma2, lam, config)
 
-
-def alpha_path_state(
-    wspec: WeightedSpectrum,
-    gamma: float,
-    sigma2: float,
-    alpha: float,
-    lam: float,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> AlphaPath:
-    """Diagnostics for the interpolation path at one ``alpha``.
-
-    ``psi_atoms`` are ``s v * m_alpha``, the coordinates in which the
-    path's monotonicity argument is expressed.
-    """
-    blended = interpolate_penalty(wspec, alpha)
-    sol = solve_m(weighted_model(blended, gamma, sigma2), lam, config)
-    return AlphaPath(
-        alpha=alpha,
-        r_alpha_atoms=tuple(float(r) for r in blended.r),
-        psi_atoms=tuple(float(p) for p in wspec.s * wspec.v * sol.m),
-    )

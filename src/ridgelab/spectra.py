@@ -379,55 +379,19 @@ class ClippedSquareNormal:
         return np.minimum(half.reshape(q.shape) ** 2 + 1.0, self.cap)
 
 
-class ConditionalLaw:
-    """Marginal law plus a conditional signal-energy profile.
-
-    ``marginal`` supplies ``quantile``; the conditional mean of the signal
-    energy given the eigenvalue comes either from ``conditional_mean``
-    (closed form, preferred) or from ``conditional_quantile(h, u)`` which is
-    integrated by a midpoint rule with ``quad_nodes`` points.
-    """
-
-    def __init__(self, marginal, conditional_mean=None, conditional_quantile=None, quad_nodes: int = 256):
-        if conditional_mean is None and conditional_quantile is None:
-            raise ValueError("need conditional_mean or conditional_quantile")
-        if quad_nodes < 256 and conditional_mean is None:
-            raise ValueError("inner quadrature needs at least 256 nodes")
-        self.marginal = marginal
-        self._mean = conditional_mean
-        self._cq = conditional_quantile
-        self.quad_nodes = int(quad_nodes)
-
-    def quantile(self, q):
-        return self.marginal.quantile(q)
-
-    def conditional_g(self, h):
-        h = np.asarray(h, dtype=float)
-        if self._mean is not None:
-            return np.asarray(self._mean(h), dtype=float)
-        u = (np.arange(self.quad_nodes) + 0.5) / self.quad_nodes
-        vals = np.array([np.mean(self._cq(hi, u)) for hi in np.atleast_1d(h)])
-        return vals.reshape(h.shape)
-
-
 def discretize(law, n_atoms: int = 2048) -> JointSpectrum:
     """Midpoint-quantile discretization of a continuous law.
 
     Atom k of N sits at the (k - 1/2)/N quantile with weight 1/N, which
-    integrates smooth functions with O(1/N^2) error.  Laws without a
-    conditional signal profile get ``g = 1`` placeholders (pair them up
-    afterwards via :func:`relate`).
+    integrates smooth functions with O(1/N^2) error.  Atoms get ``g = 1``
+    placeholders (pair them up afterwards via :func:`relate`).
     """
     if n_atoms < 1:
         raise ValueError("n_atoms must be at least 1")
     q = (np.arange(n_atoms) + 0.5) / n_atoms
     h = np.asarray(law.quantile(q), dtype=float)
-    if hasattr(law, "conditional_g"):
-        g = np.asarray(law.conditional_g(h), dtype=float)
-    else:
-        g = np.ones_like(h)
     w = np.full(n_atoms, 1.0 / n_atoms)
-    return JointSpectrum(np.column_stack([h, g, w]))
+    return JointSpectrum(np.column_stack([h, np.ones_like(h), w]))
 
 
 def relate(d_x, d_beta, relation: str, seed: int | None = None) -> JointSpectrum:

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, RegimeError, SolverError
-from .spectra import JointSpectrum, ModelSpec, truncate_top
+from .spectra import ModelSpec, truncate_top
 
 
 @dataclass(frozen=True)
@@ -88,19 +88,66 @@ class EdgeInfo:
     c0_bound: float
 
 
-@dataclass(frozen=True)
-class CompanionSolution:
-    """Sample-side resolvent trace ``s`` and the recovered ``m``.
+# ---------------------------------------------------------------------------
+# scalar root finding and minimization
+# ---------------------------------------------------------------------------
 
-    ``m_from_s = (1 - gamma)/lam + gamma * s`` for ``lam != 0``; at
-    ``lam = 0`` with ``gamma < 1`` the population-side trace diverges and
-    ``m_from_s`` is reported as ``inf``.
+
+def bisect(f, lo: float, hi: float, rtol: float, max_iter: int, floor: float = 0.0) -> float:
+    """Midpoint of ``[lo, hi]`` after shrinking it around a sign change of ``f``.
+
+    ``f`` must be positive left of the root and nonpositive right of it.
+    Stops once ``hi - lo <= rtol * max(hi, -lo, floor)`` and raises
+    SolverError if that takes more than ``max_iter`` halvings.
     """
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rtol * max(hi, -lo, floor):
+            return 0.5 * (lo + hi)
+    raise SolverError("bisection did not reach tolerance", {"lo": lo, "hi": hi, "max_iter": max_iter})
 
-    lam: float
-    s: float
-    m_from_s: float
-    residual: float
+
+def expand_bracket(f, x: float, factor: float, max_iter: int) -> tuple:
+    """First ``x * factor**k`` (``k >= 0``) at which ``f`` is negative.
+
+    Returns ``(previous, found)`` where ``previous`` is the point tried
+    just before (0 when ``k = 0``); raises SolverError after ``max_iter``
+    tries.
+    """
+    prev = 0.0
+    for _ in range(max_iter):
+        if f(x) < 0.0:
+            return prev, x
+        prev, x = x, x * factor
+    raise SolverError("failed to bracket a sign change", {"x": x, "factor": factor, "max_iter": max_iter})
+
+
+def golden_min(f, a: float, b: float, rtol: float, max_iter: int, floor: float = 0.0) -> float:
+    """Golden-section minimum of a unimodal ``f`` on ``[a, b]``.
+
+    Same stop rule as :func:`bisect` on the shrinking interval, and the
+    same SolverError after ``max_iter`` steps.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+        if b - a <= rtol * max(b, -a, floor):
+            return 0.5 * (a + b)
+    raise SolverError("golden section did not reach tolerance", {"a": a, "b": b, "max_iter": max_iter})
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +177,7 @@ def _mprime_denom(model: ModelSpec, m: float) -> float:
     return 1.0 / (m * m) - model.gamma * float(np.dot(w, (h / (1.0 + h * m)) ** 2))
 
 
-def _edge_gap(model: ModelSpec, m: float) -> float:
-    """Sign probe for the principal-branch endpoint: positive inside."""
-    return _mprime_denom(model, m) * m * m  # equals 1 - gamma*E[(hm)^2/(1+hm)^2]
-
-
+@lru_cache(maxsize=512)
 def find_edge(model: ModelSpec, config: SolverConfig = DEFAULT_CONFIG) -> EdgeInfo:
     """Locate the endpoint of the principal branch.
 
@@ -144,38 +187,20 @@ def find_edge(model: ModelSpec, config: SolverConfig = DEFAULT_CONFIG) -> EdgeIn
     memoized per (model, config) since every solve at the same aspect
     ratio shares the branch endpoint.
     """
-    return _find_edge_cached(model, config)
-
-
-@lru_cache(maxsize=512)
-def _find_edge_cached(model: ModelSpec, config: SolverConfig) -> EdgeInfo:
     spec = model.spectrum
     gp = model.gamma * spec.positive_mass()
     if gp <= 1.0:
         raise RegimeError(
             f"principal-branch edge requires gamma * P(h > 0) > 1, got {gp!r}"
         )
-    lo, hi = 0.0, 1.0 / spec.c_lower
-    for _ in range(config.max_iter):
-        if _edge_gap(model, hi) < 0.0:
-            break
-        lo, hi = hi, hi * config.bracket_factor
-    else:
-        raise SolverError(
-            "failed to bracket the branch endpoint",
-            {"hi": hi, "gap": _edge_gap(model, hi), "gamma_mass": gp},
-        )
+
+    def gap(m: float) -> float:  # 1 - gamma*E[(hm)^2/(1+hm)^2], positive inside the branch
+        return _mprime_denom(model, m) * m * m
+
+    lo, hi = expand_bracket(gap, 1.0 / spec.c_lower, config.bracket_factor, config.max_iter)
     if lo == 0.0:
         lo = hi / config.bracket_factor**config.max_iter
-    for _ in range(config.max_iter):
-        mid = 0.5 * (lo + hi)
-        if _edge_gap(model, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= config.tol * hi:
-            break
-    m_edge = 0.5 * (lo + hi)
+    m_edge = bisect(gap, lo, hi, config.tol, config.max_iter)
     c0_eff = -lambda_of_m(model, m_edge)
     c0_bound = (math.sqrt(model.gamma) - 1.0) ** 2 * spec.c_lower
     return EdgeInfo(m_edge=m_edge, c0_effective=c0_eff, c0_bound=c0_bound)
@@ -202,15 +227,15 @@ def solve_m(model: ModelSpec, lam: float, config: SolverConfig = DEFAULT_CONFIG)
                 f"-c0_effective={-edge.c0_effective!r}",
                 c0_effective=edge.c0_effective,
             )
-        m = _bisect_principal(model, lam, edge, config)
+        _, lo = expand_bracket(lambda t: lam - lambda_of_m(model, t), 0.5 * edge.m_edge, 0.5, config.max_iter)
+        m = bisect(lambda t: lambda_of_m(model, t) - lam, lo, edge.m_edge, config.tol, config.max_iter)
     else:
         if lam == 0.0:
             raise DomainError(
                 "the ridgeless trace diverges when gamma * P(h > 0) <= 1; "
                 "evaluate the risk limit directly instead",
             )
-        comp = _companion_direct(model, lam, config)
-        m = (1.0 - model.gamma) / lam + model.gamma * comp.s
+        m = (1.0 - model.gamma) / lam + model.gamma * _companion_direct(model, lam, config)
     denom = _mprime_denom(model, m)
     if denom <= 0.0:
         raise SolverError(
@@ -219,32 +244,6 @@ def solve_m(model: ModelSpec, lam: float, config: SolverConfig = DEFAULT_CONFIG)
         )
     residual = abs(lambda_of_m(model, m) - lam) / max(1.0, abs(lam))
     return StieltjesSolution(lam=lam, m=m, m_prime=1.0 / denom, residual=residual)
-
-
-def _bisect_principal(model: ModelSpec, lam: float, edge: EdgeInfo, config: SolverConfig) -> float:
-    hi = edge.m_edge
-    lo = 0.5 * hi
-    for _ in range(config.max_iter):
-        if lambda_of_m(model, lo) > lam:
-            break
-        lo *= 0.5
-    else:
-        raise SolverError(
-            "failed to bracket m from below",
-            {"lam": lam, "lo": lo, "lambda_at_lo": lambda_of_m(model, lo)},
-        )
-    for _ in range(config.max_iter):
-        mid = 0.5 * (lo + hi)
-        if lambda_of_m(model, mid) > lam:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= config.tol * hi:
-            return 0.5 * (lo + hi)
-    raise SolverError(
-        "bisection did not reach tolerance",
-        {"lam": lam, "lo": lo, "hi": hi, "max_iter": config.max_iter},
-    )
 
 
 def solve_m_theta(model: ModelSpec, theta: float, config: SolverConfig = DEFAULT_CONFIG) -> StieltjesSolution:
@@ -265,69 +264,26 @@ def solve_m_theta(model: ModelSpec, theta: float, config: SolverConfig = DEFAULT
     return solve_m(sub, 0.0, config)
 
 
-def solve_companion(model: ModelSpec, lam: float, config: SolverConfig = DEFAULT_CONFIG) -> CompanionSolution:
-    """Solve for the sample-side resolvent trace ``s``.
+def _companion_direct(model: ModelSpec, lam: float, config: SolverConfig) -> float:
+    """Sample-side resolvent trace ``s`` at ``lam != 0``, solving
 
-    For ``gamma * P(h > 0) > 1`` (needs ``lam > 0``) the value is recovered
-    from the principal solve through the exact linear relation between the
-    two traces.  Otherwise the defining fixed point
+        s = E[1 / (h (1 - gamma + gamma lam s) + lam)].
 
-        s = E[1 / (h (1 - gamma + gamma lam s) + lam)]
-
-    is solved directly: decreasing in ``s`` for ``lam > 0``, and for
-    ``lam < 0`` (underparameterized only) convex with the principal root
-    taken on the decreasing segment.
+    The right side minus ``s`` is decreasing for ``lam > 0``; for
+    ``lam < 0`` (underparameterized only) it is convex and the principal
+    root is taken on the decreasing segment.
     """
-    if not math.isfinite(lam):
-        raise DomainError(f"lam must be finite, got {lam!r}")
-    gamma = model.gamma
-    gp = gamma * model.spectrum.positive_mass()
-    if gp > 1.0:
-        if lam <= 0.0:
-            raise DomainError(
-                "companion recovery in the overparameterized regime needs lam > 0"
-            )
-        sol = solve_m(model, lam, config)
-        s = (lam * sol.m - 1.0 + gamma) / (gamma * lam)
-        return CompanionSolution(
-            lam=lam, s=s, m_from_s=sol.m, residual=_companion_residual(model, lam, s)
-        )
-    return _companion_direct(model, lam, config)
-
-
-def _companion_rhs(model: ModelSpec, lam: float, s: float) -> float:
-    h, w = model.spectrum.h, model.spectrum.w
-    denom = h * (1.0 - model.gamma + model.gamma * lam * s) + lam
-    if np.any(denom <= 0.0):
-        raise DomainError(f"companion denominators not positive at s={s!r}, lam={lam!r}")
-    return float(np.dot(w, 1.0 / denom))
-
-
-def _companion_residual(model: ModelSpec, lam: float, s: float) -> float:
-    return abs(_companion_rhs(model, lam, s) - s) / max(1.0, abs(s))
-
-
-def _companion_direct(model: ModelSpec, lam: float, config: SolverConfig) -> CompanionSolution:
     gamma = model.gamma
     spec = model.spectrum
 
     def G(s: float) -> float:
-        return _companion_rhs(model, lam, s) - s
-
-    if lam == 0.0:
-        if gamma >= 1.0 or spec.truncated:
-            raise DomainError("companion closed form at lam = 0 needs gamma < 1 and a full-mass spectrum")
-        s0 = float(np.dot(spec.w, 1.0 / spec.h)) / (1.0 - gamma)
-        return CompanionSolution(lam=0.0, s=s0, m_from_s=math.inf, residual=abs(G(s0)) / max(1.0, s0))
+        denom = spec.h * (1.0 - gamma + gamma * lam * s) + lam
+        if np.any(denom <= 0.0):
+            raise DomainError(f"companion denominators not positive at s={s!r}, lam={lam!r}")
+        return float(np.dot(spec.w, 1.0 / denom)) - s
 
     if lam > 0.0:
-        lo, hi = 0.0, max(1.0 / lam, 1.0)
-        for _ in range(config.max_iter):
-            if G(hi) < 0.0:
-                break
-            lo, hi = hi, hi * config.bracket_factor
-        else:
-            raise SolverError("failed to bracket companion root", {"lam": lam, "hi": hi})
+        lo, hi = expand_bracket(G, max(1.0 / lam, 1.0), config.bracket_factor, config.max_iter)
     else:
         # Negative regularization below the square-root domain bound is
         # rejected outright; inside it, the root sits on the decreasing
@@ -341,57 +297,11 @@ def _companion_direct(model: ModelSpec, lam: float, config: SolverConfig) -> Com
                 c0_effective=bound,
             )
         cap = float(np.min(((1.0 - gamma) + lam / spec.h) / (-gamma * lam)))
-        s_min = _companion_convex_min(G, cap, config)
+        s_min = golden_min(G, cap * 1e-12, cap * (1.0 - 1e-12), config.tol, config.max_iter, 1e-300)
         if G(s_min) > 0.0:
             raise DomainError(
                 f"no companion solution at lam={lam!r}: beyond the effective edge",
                 c0_effective=bound,
             )
         lo, hi = 0.0, s_min
-    for _ in range(config.max_iter):
-        mid = 0.5 * (lo + hi)
-        if G(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= config.tol * max(hi, 1e-300):
-            break
-    s = 0.5 * (lo + hi)
-    m_from_s = (1.0 - gamma) / lam + gamma * s
-    return CompanionSolution(lam=lam, s=s, m_from_s=m_from_s, residual=_companion_residual(model, lam, s))
-
-
-def _companion_convex_min(G, cap: float, config: SolverConfig) -> float:
-    """Golden-section minimum of a convex function on (0, cap)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = cap * 1e-12, cap * (1.0 - 1e-12)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = G(c), G(d)
-    for _ in range(config.max_iter):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = G(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = G(d)
-        if b - a <= config.tol * max(b, 1e-300):
-            break
-    return 0.5 * (a + b)
-
-
-# ---------------------------------------------------------------------------
-# derived second-order quantities
-# ---------------------------------------------------------------------------
-
-
-def second_derivative(model: ModelSpec, sol: StieltjesSolution) -> float:
-    """Closed-form ``m''`` at a solved point (used by curvature checks)."""
-    h, w = model.spectrum.h, model.spectrum.w
-    zeta = h * sol.m
-    frac = zeta / (1.0 + zeta)
-    d2 = 1.0 - model.gamma * float(np.dot(w, frac**2))
-    d3 = 1.0 - model.gamma * float(np.dot(w, frac**3))
-    return 2.0 * d3 / d2 * sol.m_prime**2 / sol.m
+    return bisect(G, lo, hi, config.tol, config.max_iter, 1e-300)

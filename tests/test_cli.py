@@ -149,6 +149,28 @@ class TestExitCodes:
         assert code == 3
         assert "solver error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve-m", "--gamma", "2", "--spectrum", "pointmass:x", "--lambda", "1"],
+        ["risk-curve", "--gamma", "2", "--spectrum", "pointmass:1", "--lambda-grid", "1,abc"],
+        ["solve-m", "--gamma", "2", "--spectrum", "[[1,1,0.5],[2,1,0.4]]", "--lambda", "1"],
+        ["reproduce", {"spectrum": [[1, 1, 1.0]], "gamma": "abc", "grid": [0.5]}],
+    ], ids=["pointmass-value", "grid-value", "weights-sum", "scenario-gamma"])
+    def test_malformed_input_is_a_domain_error(self, capsys, tmp_path, argv) -> None:
+        if isinstance(argv[-1], dict):
+            (tmp_path / "scenario.json").write_text(json.dumps(argv[-1]))
+            argv = argv[:-1] + [str(tmp_path / "scenario.json")]
+        assert cli.main(argv) == 2
+        assert "domain error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, first, count", [
+        (["solve-m", "--gamma", "2", "--spectrum", "pointmass:1", "--lambda", "-5e-05"], -5e-05, 1),
+        (["risk-curve", "--gamma", "2", "--recipe", "dc-dc", "--lambda-grid", "-0.15:3:25"], -0.15, 25),
+    ], ids=["exponent", "grid"])
+    def test_negative_values_need_no_equals_form(self, capsys, argv, first, count) -> None:
+        code, out = run(capsys, argv)
+        _, rows = parse_csv(out)
+        assert (code, len(rows), float(rows[0][0])) == (0, count, first)
+
     def test_sigma2_snr_conflict(self, capsys) -> None:
         code = cli.main(
             [
@@ -350,6 +372,30 @@ class TestReproduce:
         cols, rows = parse_csv(out)
         assert cols[0] == "theta"
         assert len(rows) == 2
+
+
+    def test_scenario_pcr_notes_match_pcr_curve(self, capsys, tmp_path) -> None:
+        doc = {"recipe": "fig7-other", "gamma": 5, "snr": 50, "sweep": "theta", "grid": [0.2, 0.3]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        _, from_scenario = run(capsys, ["reproduce", str(path)])
+        _, from_command = run(
+            capsys,
+            ["pcr-curve", "--gamma", "5", "--recipe", "fig7-other", "--snr", "50", "--theta-grid", "0.2,0.3"],
+        )
+        _, rows = parse_csv(from_scenario)
+        assert [row[-1] for row in rows] == ["regime-boundary", ""]
+        assert from_scenario == from_command
+
+    @pytest.mark.parametrize("doc", [
+        {"recipe": "fig5-left", "gamma": 2, "sigma2": 1, "grid": [0.5]},
+        {"recipe": "fig7-other", "gamma": 5, "snr": 50, "sweep": "theta", "grid": [0.3]},
+    ], ids=["weighted-recipe", "theta-sweep"])
+    def test_scenario_mc_block_it_cannot_run(self, capsys, tmp_path, doc) -> None:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(dict(doc, mc={"n": 20, "replicates": 2})))
+        assert cli.main(["reproduce", str(path)]) == 2
+        assert "mc block" in capsys.readouterr().err
 
 
 class TestSelftest:

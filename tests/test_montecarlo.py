@@ -23,23 +23,23 @@ from ridgelab import (
     sample_design,
     simulate,
 )
-from ridgelab.montecarlo import _proportional_counts
+from ridgelab.montecarlo import proportional_counts
 
 TWO_POINT = JointSpectrum([(1.0, 1.0, 0.75), (5.0, 5.0, 0.25)])
 
 
 class TestProportionalCounts:
     def test_exact_division(self) -> None:
-        assert list(_proportional_counts(np.array([0.5, 0.5]), 4)) == [2, 2]
+        assert list(proportional_counts(np.array([0.5, 0.5]), 4)) == [2, 2]
 
     def test_largest_remainder(self) -> None:
-        assert list(_proportional_counts(np.array([0.7, 0.3]), 11)) == [8, 3]
+        assert list(proportional_counts(np.array([0.7, 0.3]), 11)) == [8, 3]
 
     def test_remainder_tie_goes_to_the_last_atom(self) -> None:
-        assert list(_proportional_counts(np.array([0.75, 0.25]), 10)) == [7, 3]
+        assert list(proportional_counts(np.array([0.75, 0.25]), 10)) == [7, 3]
 
     def test_total_is_preserved(self) -> None:
-        counts = _proportional_counts(np.array([0.4, 0.35, 0.25]), 7)
+        counts = proportional_counts(np.array([0.4, 0.35, 0.25]), 7)
         assert counts.sum() == 7
 
 

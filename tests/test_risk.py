@@ -14,8 +14,6 @@ from ridgelab import (
     SolverError,
     WeightedSpectrum,
     alpha_path_risk,
-    alpha_path_state,
-    alternative_total_risk,
     asymptotic_risk,
     interpolate_penalty,
     pcr_curve,
@@ -27,6 +25,8 @@ from ridgelab import (
     weighted_model,
     weighted_risk,
 )
+
+from oracles import alpha_path_state, alternative_total_risk
 
 ISO_QUARTER_NOISE = ModelSpec(2.0, 0.25, point_mass(1.0))
 ALIGNED_TWO_POINT = JointSpectrum([(1.0, 1.0, 0.75), (5.0, 5.0, 0.25)])

@@ -16,13 +16,13 @@ from ridgelab import (
     find_edge,
     lambda_of_m,
     point_mass,
-    second_derivative,
-    solve_companion,
     solve_m,
     solve_m_theta,
     truncate_top,
     Uniform,
 )
+
+from oracles import second_derivative, solve_companion
 
 
 def isotropic_root(gamma: float, lam: float) -> float:
