@@ -147,8 +147,8 @@ def _sigma2(args, spec) -> float:
 def _model(args, spec) -> ModelSpec:
     sigma2 = _sigma2(args, spec)
     if isinstance(spec, WeightedSpectrum):
-        return weighted_model(spec, args.gamma, sigma2)
-    return ModelSpec(args.gamma, sigma2, spec)
+        return _parse(lambda s: weighted_model(s, args.gamma, sigma2), spec, "model")
+    return _parse(lambda s: ModelSpec(args.gamma, sigma2, s), spec, "model")
 
 
 def _norm_scale(model: ModelSpec) -> float:
@@ -222,7 +222,7 @@ def _cmd_weight_compare(args):
     if not isinstance(spec, WeightedSpectrum):
         raise DomainError("weight-compare needs a weighted (s, v, r) spectrum")
     candidates = PENALTY_CANDIDATES + (("s-measurable", select_weighting(spec, "s_only_optimal")),)
-    rows = penalty_rows(spec, args.gamma, _sigma2(args, spec), candidates)
+    rows = penalty_rows(spec, args.gamma, _model(args, spec).sigma2, candidates)
     return ["penalty", "lambda_opt", "risk_at_opt", "normalized_risk"], rows
 
 
@@ -230,18 +230,17 @@ def _cmd_simulate(args):
     spec = _resolve_spectrum(args)
     if isinstance(spec, WeightedSpectrum):
         raise DomainError("simulate expects a joint (h, g) spectrum or generic recipe")
-    sigma2 = _sigma2(args, spec)
-    model = ModelSpec(args.gamma, sigma2, spec)
+    model = _model(args, spec)
     p = int(round(args.gamma * args.n))
     if args.recipe is not None:
-        ens = recipe_ensemble(
-            args.recipe, n=args.n, p=p, master_seed=args.seed, relation=args.relation, alpha=args.alpha
-        )
+        ens = _parse(lambda n: recipe_ensemble(
+            args.recipe, n=n, p=p, master_seed=args.seed, relation=args.relation, alpha=args.alpha
+        ), args.n, "ensemble")
     else:
-        ens = MatrixEnsemble.from_joint(spec, args.n, p)
+        ens = _parse(lambda n: MatrixEnsemble.from_joint(spec, n, p), args.n, "ensemble")
     lams = _parse_grid(args.lambda_grid)
-    config = MonteCarloConfig(replicates=args.replicates, master_seed=args.seed)
-    mc_rows = simulate(ens, lams, sigma2, config)
+    config = _parse(lambda r: MonteCarloConfig(replicates=r, master_seed=args.seed), args.replicates, "replicates")
+    mc_rows = simulate(ens, lams, model.sigma2, config)
     columns = ["lambda", "mc_mean", "mc_se", "theory", "rel_err", "dropped_replicates"]
     rows = []
     for rec in mc_rows:
@@ -289,11 +288,11 @@ def _run_scenario(path: str):
     if mc:
         if "n" not in mc:
             raise DomainError(f"scenario {path!r} mc block is missing required entry 'n'")
-        n = entry("n", int, block=mc)
-        ens = MatrixEnsemble.from_joint(spec, n, int(round(model.gamma * n)))
-        config = MonteCarloConfig(
-            replicates=entry("replicates", int, 50, mc), master_seed=entry("seed", int, _DEFAULT_SEED, mc)
-        )
+        ens = _parse(lambda n: MatrixEnsemble.from_joint(spec, n, int(round(model.gamma * n))),
+                     entry("n", int, block=mc), "scenario mc entry 'n'")
+        seed = entry("seed", int, _DEFAULT_SEED, mc)
+        config = _parse(lambda r: MonteCarloConfig(replicates=r, master_seed=seed),
+                        entry("replicates", int, 50, mc), "scenario mc entry 'replicates'")
         mc_rows = simulate(ens, grid, model.sigma2, config)
         columns += ["mc_mean", "mc_se", "dropped_replicates"]
         rows = [

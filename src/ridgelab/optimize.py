@@ -5,9 +5,13 @@ can be negative when strong eigendirections carry disproportionately
 strong signal and noise is small.  The search machinery is derivative
 based: the risk derivative factors into a positive prefactor times a sum
 of two signed parts, so locating sign changes of that sum is both cheaper
-and better conditioned than minimizing the risk directly.  A golden
-section pass over the risk itself remains as the fallback when no sign
-change is bracketed.
+and better conditioned than minimizing the risk directly.  Both parts
+are closed form in the fixed-point solution ``m``, so the scan is one
+array solve of the fixed point over the whole regularization grid plus
+one array evaluation of the parts, and each sign change is refined by
+bisection in ``m`` with no further fixed-point solve.  A golden section
+pass over the risk itself remains as the fallback when no sign change is
+bracketed.
 """
 
 import math
@@ -16,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegimeError, SolverError
-from .risk import asymptotic_risk, risk_derivative, weighted_model
+from .risk import asymptotic_risk, derivative_parts, risk_at_m, weighted_model
 from .spectra import JointSpectrum, ModelSpec, WeightedSpectrum
-from .stieltjes import DEFAULT_CONFIG, SolverConfig, bisect, find_edge, golden_min, solve_m
+from .stieltjes import DEFAULT_CONFIG, SolverConfig, bisect, find_edge, golden_min, solve_m, solve_m_grid
 
 _GRID_POINTS = 512
 _ZERO_ATOL = 1e-7
@@ -26,6 +30,9 @@ _TIE_RTOL = 1e-9
 # golden section on the risk stops at width <= 2e-11 * max(b, -a, 0.5): 1e-11
 # relative to |a| + |b| on a narrow interval, never below 1e-11 absolute
 _GOLDEN_RTOL, _GOLDEN_FLOOR = 2e-11, 0.5
+# derivative roots are refined in m to 1e-14 relative: lam moves by at most
+# about 1e-14 * (|lam| + gamma E[h]), far inside the 1e-12 of a scalar solve
+_M_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -148,11 +155,13 @@ def lambda_opt_closed_form(model: ModelSpec, config: SolverConfig = DEFAULT_CONF
     Whenever ``E[g | h]`` does not depend on ``h`` (point-mass designs,
     point-mass signals, or any flat profile), the optimum is
     ``sigma2 / E[g]`` exactly.  Returns None when the profile is not flat;
-    the noiseless flat case returns the boundary value 0.
+    the noiseless flat case returns the boundary value 0.  A flat profile
+    without signal (``g = 0``) raises DomainError.
     """
     _, means, masses = conditional_means(model.spectrum)
     if _monotonicity(means) != "constant":
         return None
+    _require_signal(model)
     e_g = float(np.dot(masses, means))
     lam_opt = model.sigma2 / e_g
     try:
@@ -175,6 +184,14 @@ def lambda_opt_closed_form(model: ModelSpec, config: SolverConfig = DEFAULT_CONF
     )
 
 
+def _require_signal(model: ModelSpec) -> None:
+    if model.spectrum.e_gh() == 0.0:
+        raise DomainError(
+            "the optimal regularization is not finite without signal (E[g h] = 0): "
+            "the risk falls toward lam = +inf, or is flat when sigma2 = 0"
+        )
+
+
 def regime_guard(model: ModelSpec, config: SolverConfig = DEFAULT_CONFIG) -> tuple:
     """Admissible search interval for the optimal regularization.
 
@@ -182,10 +199,12 @@ def regime_guard(model: ModelSpec, config: SolverConfig = DEFAULT_CONFIG) -> tup
     negative limit; underparameterized ones are restricted to
     nonnegative values (their optimum is never negative).  The critical
     ratio ``gamma = 1`` is rejected: the ridgeless endpoint degenerates
-    and no finite search interval is trustworthy there.
+    and no finite search interval is trustworthy there.  Without signal
+    (``E[g h] = 0``) there is no finite optimum, a DomainError.
     """
     if model.gamma == 1.0:
         raise RegimeError("aspect ratio exactly 1 is excluded from optimum searches")
+    _require_signal(model)
     lam_max = 100.0 * (model.sigma2 + model.gamma * model.spectrum.e_gh())
     if model.gamma < 1.0:
         return (0.0, lam_max)
@@ -208,47 +227,52 @@ def _search_grid(lo: float, hi: float) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(hi * 1e-10, hi, _GRID_POINTS - 1)])
 
 
-def _deriv_sum(model: ModelSpec, lam: float, config: SolverConfig) -> float:
-    parts = risk_derivative(model, lam, config)
-    return parts.part3 + parts.part4
+def _deriv_sum(model: ModelSpec, m: float) -> float:
+    parts = derivative_parts(model, np.array([m]))
+    return float(parts.part3[0] + parts.part4[0])
 
 
 def lambda_opt_search(model: ModelSpec, config: SolverConfig = DEFAULT_CONFIG) -> LambdaOptResult:
     """Locate the risk-minimizing regularization by derivative sign scan.
 
-    Scans a 512-point grid with geometric resolution near zero, refines
-    every derivative sign change by bisection, and takes the global risk
-    argmin over the refined roots (plus the exact ridgeless endpoint in
-    the underparameterized regime).  Falls back to golden section on the
-    risk when no sign change is bracketed.  When a closed form applies,
-    the search result is cross-checked against it and a disagreement
-    beyond 1e-6 raises SolverError.
+    Solves the fixed point on a 512-point grid with geometric resolution
+    near zero in one array solve, and evaluates the closed-form derivative
+    parts at all grid solutions at once.  Every sign change is refined by
+    bisection in ``m`` between the solutions at its two grid points, where
+    the derivative is closed form, so no further fixed-point solve is
+    needed; a root ``m*`` maps back to ``lam = lambda_of_m(m*)`` and its
+    risk is read off ``m*`` directly.  The result is the global risk
+    argmin over the roots (plus the exact ridgeless endpoint in the
+    underparameterized regime).  Falls back to golden section on the risk
+    when no sign change is bracketed.  When a closed form applies it is
+    returned as is if it lies outside the search domain; inside, the
+    search result is cross-checked against it and a disagreement beyond
+    1e-6 raises SolverError.
     """
     lo, hi = regime_guard(model, config)
+    closed = lambda_opt_closed_form(model, config)
+    if closed is not None and not lo <= closed.lambda_opt <= hi:
+        return closed
     grid = _search_grid(lo, hi)
     underparam = model.gamma < 1.0
+    # the fixed point degenerates at the ridgeless endpoint, grid[0] = 0
+    m = solve_m_grid(model, grid[1:] if underparam else grid, config)
+    parts = derivative_parts(model, m)
+    derivs = parts.part3 + parts.part4
 
-    derivs = np.full(grid.shape, np.nan)
-    for i, lam in enumerate(grid):
-        if underparam and lam == 0.0:
-            continue  # fixed point degenerates at the ridgeless endpoint
-        derivs[i] = _deriv_sum(model, float(lam), config)
+    roots = []  # fixed-point solutions m at the derivative roots, in grid order
+    for k in np.flatnonzero((derivs[:-1] == 0.0) | (derivs[:-1] * derivs[1:] < 0.0)):
+        if derivs[k] == 0.0:
+            roots.append(float(m[k]))
+        else:
+            # m falls as lam rises; bisect wants f > 0 at the left (smaller) end
+            sign = math.copysign(1.0, derivs[k + 1])
+            roots.append(bisect(lambda t: sign * _deriv_sum(model, t), float(m[k + 1]), float(m[k]),
+                                _M_RTOL, config.max_iter))
+    if derivs[-1] == 0.0:
+        roots.append(float(m[-1]))
 
-    roots = []
-    finite = ~np.isnan(derivs)
-    idx = np.flatnonzero(finite)
-    for a, b in zip(idx[:-1], idx[1:]):
-        da, db = derivs[a], derivs[b]
-        if da == 0.0:
-            roots.append(float(grid[a]))
-        elif da * db < 0.0:
-            sign = math.copysign(1.0, da)  # bisect wants f > 0 left of the root
-            roots.append(bisect(lambda t: sign * _deriv_sum(model, t, config), float(grid[a]), float(grid[b]),
-                                config.tol, config.max_iter, 1.0))
-    if finite.size and derivs[idx[-1]] == 0.0:
-        roots.append(float(grid[idx[-1]]))
-
-    candidates = [(lam, asymptotic_risk(model, lam, config).total, "derivative_root") for lam in roots]
+    candidates = [(ev.lam, ev.total, "derivative_root") for ev in (risk_at_m(model, r) for r in roots)]
     if underparam:
         candidates.append((0.0, asymptotic_risk(model, 0.0, config).total, "golden_section"))
     if not roots:
@@ -272,7 +296,6 @@ def lambda_opt_search(model: ModelSpec, config: SolverConfig = DEFAULT_CONFIG) -
     else:
         sign = "negative" if lam_opt < 0.0 else "positive"
 
-    closed = lambda_opt_closed_form(model, config)
     if closed is not None and abs(closed.lambda_opt - lam_opt) > 1e-6 * max(1.0, abs(closed.lambda_opt)):
         raise SolverError(
             "search disagrees with the applicable closed form",

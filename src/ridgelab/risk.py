@@ -21,7 +21,15 @@ import numpy as np
 
 from .errors import DomainError, RegimeError, SolverError
 from .spectra import ModelSpec, WeightedSpectrum, split_top_mass, truncate_top
-from .stieltjes import DEFAULT_CONFIG, SolverConfig, StieltjesSolution, solve_m, solve_m_theta
+from .stieltjes import (
+    DEFAULT_CONFIG,
+    SolverConfig,
+    StieltjesSolution,
+    block_rows,
+    solution_at,
+    solve_m,
+    solve_m_theta,
+)
 
 _FORM_AGREEMENT_TOL = 1e-10
 
@@ -56,7 +64,8 @@ class DerivativeParts:
     The derivative equals ``prefactor * (part3 + part4)`` with
     ``prefactor > 0``, so the sign analysis lives entirely in the two
     parts: ``part3`` is the noise pull (always nonpositive) and ``part4``
-    the signal-alignment pull.
+    the signal-alignment pull.  The fields are floats from
+    :func:`risk_derivative` and arrays from :func:`derivative_parts`.
     """
 
     part3: float
@@ -97,33 +106,61 @@ def asymptotic_risk(model: ModelSpec, lam: float, config: SolverConfig = DEFAULT
     return _risk_from_solution(model, sol)
 
 
+def risk_at_m(model: ModelSpec, m: float) -> RiskEvaluation:
+    """Risk at the regularization whose fixed-point solution is ``m``."""
+    return _risk_from_solution(model, solution_at(model, m))
+
+
 def risk_curve(model: ModelSpec, lams, config: SolverConfig = DEFAULT_CONFIG) -> list:
     """Evaluate the risk on a grid of regularization values."""
     return [asymptotic_risk(model, float(lam), config) for lam in lams]
 
 
 def risk_derivative(model: ModelSpec, lam: float, config: SolverConfig = DEFAULT_CONFIG) -> DerivativeParts:
-    """Signed decomposition of ``d(total risk)/d lam`` at ``lam``.
+    """Signed decomposition of ``d(total risk)/d lam`` at ``lam``: the
+    fixed-point solve followed by :func:`derivative_parts`."""
+    parts = derivative_parts(model, np.array([solve_m(model, lam, config).m]))
+    return DerivativeParts(*(float(a[0]) for a in (parts.part3, parts.part4, parts.prefactor)))
 
-    Raises SolverError if the spectral margin ``1 - gamma * E[zeta^2 /
-    (1+zeta)^2]`` is not positive (that only happens at the branch edge,
-    where the derivative blows up).
+
+def derivative_parts(model: ModelSpec, m: np.ndarray) -> DerivativeParts:
+    """The derivative parts at every fixed-point solution in the 1-D array ``m``.
+
+    Closed form in ``m``: with the spectral margin ``M = 1 - gamma *
+    E[zeta^2 / (1+zeta)^2]`` (``zeta = h m``), ``m' = m^2 / M`` and the
+    prefactor is ``2 gamma m / M^2``.  Raises SolverError if ``M`` is not
+    positive anywhere (that only happens at the branch edge, where the
+    derivative blows up).  Returns a DerivativeParts of arrays shaped like
+    ``m``, evaluated over blocks of rows so no temporary exceeds the block
+    cap of the grid solve.
     """
-    sol = solve_m(model, lam, config)
     spec = model.spectrum
-    zeta = spec.h * sol.m
-    frac = zeta / (1.0 + zeta)
-    gh = spec.g * spec.h
-    margin = 1.0 - model.gamma * float(np.dot(spec.w, frac**2))
-    if margin <= 0.0:
-        raise SolverError("spectral margin vanished at the branch edge", {"lam": lam, "margin": margin})
-    e_z2_c3 = float(np.dot(spec.w, zeta**2 / (1.0 + zeta) ** 3))
-    e_gh_c2 = float(np.dot(spec.w, gh / (1.0 + zeta) ** 2))
-    e_ghz_c3 = float(np.dot(spec.w, gh * zeta / (1.0 + zeta) ** 3))
+    h, w, gh = spec.h, spec.w, spec.g * spec.h
+    margin, e_z2_c3, e_gh_c2, e_ghz_c3 = (np.empty_like(m) for _ in range(4))
+    step = block_rows(m.size, h.size)
+    buffers = [np.empty((step, h.size)) for _ in range(3)]  # reused by every block
+    for i in range(0, m.size, step):
+        rows = slice(i, i + step)
+        frac, inv, tmp = (b[: m[rows].size] for b in buffers)
+        np.multiply.outer(m[rows], h, out=frac)  # zeta = h m
+        np.add(frac, 1.0, out=inv)
+        np.reciprocal(inv, out=inv)  # 1 / (1 + zeta)
+        frac *= inv  # zeta / (1 + zeta)
+        np.multiply(frac, frac, out=tmp)
+        margin[rows] = 1.0 - model.gamma * (tmp @ w)
+        tmp *= inv
+        e_z2_c3[rows] = tmp @ w
+        np.multiply(inv, inv, out=tmp)
+        tmp *= gh
+        e_gh_c2[rows] = tmp @ w
+        tmp *= frac
+        e_ghz_c3[rows] = tmp @ w
+    if np.any(margin <= 0.0):
+        i = int(np.argmin(margin))
+        raise SolverError("spectral margin vanished at the branch edge", {"m": float(m[i]), "margin": float(margin[i])})
     part3 = -model.sigma2 * e_z2_c3 / margin
     part4 = e_ghz_c3 - model.gamma * e_z2_c3 * e_gh_c2 / margin
-    prefactor = 2.0 * model.gamma * sol.m_prime**2 / sol.m**3
-    return DerivativeParts(part3=part3, part4=part4, prefactor=prefactor)
+    return DerivativeParts(part3=part3, part4=part4, prefactor=2.0 * model.gamma * m / margin**2)
 
 
 def _display_form_numerator(spectrum, theta: float, m: float, gamma: float) -> float:

@@ -15,9 +15,12 @@ decreasing bijection from the principal interval ``(0, m_edge)`` onto
 ``1/m^2 = gamma * E[h^2/(1+h m)^2]`` and ``c0_effective`` is the largest
 admissible negative regularization.  Bisection on that interval is
 guaranteed to converge and never strays onto spurious branches, which is
-why it is used instead of Newton steps.  When ``gamma * P(h > 0) <= 1``
-the solve is routed through the companion transform ``s`` (the resolvent
-trace seen from the sample side), which stays well behaved there.
+why the scalar solve uses it instead of Newton steps; the array solve
+over a whole regularization grid (:func:`solve_m_grid`) takes Newton
+steps safeguarded by bisection inside each root's bracket.  When
+``gamma * P(h > 0) <= 1`` the scalar solve is routed through the
+companion transform ``s`` (the resolvent trace seen from the sample
+side), which stays well behaved there.
 
 ``m'`` is always computed from the closed-form identity
 ``m' = 1 / (1/m^2 - gamma * E[h^2/(1+h m)^2])``, never by finite
@@ -262,6 +265,104 @@ def solve_m_theta(model: ModelSpec, theta: float, config: SolverConfig = DEFAULT
     truncated = truncate_top(model.spectrum, theta)
     sub = ModelSpec(model.gamma, model.sigma2, truncated)
     return solve_m(sub, 0.0, config)
+
+
+def solution_at(model: ModelSpec, m: float) -> StieltjesSolution:
+    """The fixed point whose solution is ``m``: ``lam = lambda_of_m(m)``,
+    ``m'`` from the derivative identity, zero residual by construction."""
+    return StieltjesSolution(lam=lambda_of_m(model, m), m=m, m_prime=1.0 / _mprime_denom(model, m), residual=0.0)
+
+
+# ---------------------------------------------------------------------------
+# array solve over a regularization grid
+# ---------------------------------------------------------------------------
+
+# (rows x atoms) temporaries of the array kernels are capped at 64 KB of
+# float64, so a 512 x 2048 grid adds no measurable memory over a scalar solve
+_BLOCK_ELEMENTS = 8192
+_GRID_RTOL = 1e-13
+
+
+def block_rows(rows: int, atoms: int) -> int:
+    """Rows per block of a ``(rows x atoms)`` array kernel: at most
+    ``_BLOCK_ELEMENTS`` entries per block, at least one row, at most
+    ``rows``."""
+    return max(1, min(rows, _BLOCK_ELEMENTS // atoms))
+
+
+def solve_m_grid(model: ModelSpec, lams, config: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Principal ``m`` at every ``lam`` of ``lams`` in one array solve.
+
+    Serves ``lam > -c0_effective`` when ``gamma * P(h > 0) > 1`` and
+    ``lam > 0`` otherwise, the same roots :func:`solve_m` finds.  Each
+    root lies in ``[1/(lam + gamma E[h]), min(1/lam, m_edge)]`` (the
+    upper end is ``m_edge`` on the principal branch, ``1/lam`` for
+    ``lam > 0``), where ``lambda(m)`` decreases, and is found by Newton
+    steps safeguarded by bisection.  A row is done once its Newton
+    correction or its bracket is below 1e-13 relative; SolverError after
+    ``config.max_iter`` steps.
+    """
+    lams = np.asarray(lams, dtype=float)
+    gamma, h, w = model.gamma, model.spectrum.h, model.spectrum.w
+    if gamma * model.spectrum.positive_mass() > 1.0:
+        edge = find_edge(model, config)
+        if np.any(lams <= -edge.c0_effective):
+            raise DomainError(
+                f"grid reaches {float(lams.min())!r}, at or below the admissible limit "
+                f"-c0_effective={-edge.c0_effective!r}",
+                c0_effective=edge.c0_effective,
+            )
+        hi = np.full_like(lams, edge.m_edge)
+    elif np.any(lams <= 0.0):
+        raise DomainError("the grid solve needs lam > 0 when gamma * P(h > 0) <= 1")
+    else:
+        hi = np.full_like(lams, np.inf)
+    up = lams > 0.0
+    hi[up] = np.minimum(hi[up], 1.0 / lams[up])  # lambda(1/lam) < lam
+    lo = 1.0 / (lams + gamma * float(np.dot(w, h)))  # lambda(lo) > lam since h/(1+hm) < h
+
+    m = np.empty_like(lams)
+    step = block_rows(lams.size, h.size)
+    work = np.empty((step, h.size))  # reused by every block
+    for i in range(0, lams.size, step):
+        rows = slice(i, i + step)
+        m[rows] = _newton_block(gamma, h, w, lams[rows], lo[rows], hi[rows], work, config.max_iter)
+    return m
+
+
+def _newton_block(gamma, h, w, target, lo, hi, work, max_iter):
+    """Rows of one block, each leaving the iteration once its Newton
+    correction or its bracket is within ``_GRID_RTOL`` relative.  A Newton
+    step is taken only if it lands inside the bracket and is at most half
+    the step before last; otherwise the bracket is bisected.  Bisection
+    takes over where rounding hides the root from Newton (``1/m`` and
+    ``gamma E[h/(1+hm)]`` cancelling to far below their size)."""
+    out = np.empty_like(target)
+    rows = np.arange(target.size)
+    x = 0.5 * (lo + hi)
+    dx = dx_old = hi - lo
+    for _ in range(max_iter):
+        buf = work[: x.size]
+        np.multiply.outer(x, h, out=buf)
+        buf += 1.0
+        np.divide(h, buf, out=buf)  # h / (1 + h m)
+        gap = 1.0 / x - gamma * (buf @ w) - target
+        buf *= buf
+        newton = x - gap / (gamma * (buf @ w) - 1.0 / (x * x))  # d lambda / dm < 0
+        done = (np.abs(newton - x) <= _GRID_RTOL * x) | (hi - lo <= _GRID_RTOL * hi)
+        out[rows[done]] = np.clip(newton, lo, hi)[done]
+        if done.all():
+            return out
+        live = ~done
+        rows, x, gap, newton, target, lo, hi, dx, dx_old = (
+            a[live] for a in (rows, x, gap, newton, target, lo, hi, dx, dx_old))
+        above = gap > 0.0  # lambda(x) > lam: the root lies right of x
+        lo = np.where(above, x, lo)
+        hi = np.where(above, hi, x)
+        take = (newton > lo) & (newton < hi) & (2.0 * np.abs(newton - x) <= dx_old)
+        new = np.where(take, newton, 0.5 * (lo + hi))
+        dx_old, dx, x = dx, np.abs(new - x), new
+    raise SolverError("grid solve did not converge", {"max_iter": max_iter, "unconverged": rows.size})
 
 
 def _companion_direct(model: ModelSpec, lam: float, config: SolverConfig) -> float:

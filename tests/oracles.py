@@ -6,8 +6,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ridgelab import DomainError, ModelSpec, SolverConfig, interpolate_penalty, solve_m, weighted_model
-from ridgelab.stieltjes import DEFAULT_CONFIG, StieltjesSolution, _companion_direct
+from ridgelab import (
+    DomainError,
+    ModelSpec,
+    SolverConfig,
+    SolverError,
+    asymptotic_risk,
+    interpolate_penalty,
+    lambda_opt_closed_form,
+    regime_guard,
+    risk_derivative,
+    solve_m,
+    weighted_model,
+)
+from ridgelab.optimize import _GOLDEN_FLOOR, _GOLDEN_RTOL, _TIE_RTOL, _ZERO_ATOL, LambdaOptResult, _search_grid
+from ridgelab.stieltjes import DEFAULT_CONFIG, StieltjesSolution, _companion_direct, bisect, golden_min
 
 
 def second_derivative(model: ModelSpec, sol: StieltjesSolution) -> float:
@@ -73,3 +86,76 @@ def alpha_path_state(wspec, gamma: float, sigma2: float, alpha: float, lam: floa
     blended = interpolate_penalty(wspec, alpha)
     m = solve_m(weighted_model(blended, gamma, sigma2), lam, config).m
     return AlphaPath(alpha, tuple(float(r) for r in blended.r), tuple(float(p) for p in wspec.s * wspec.v * m))
+
+
+def _deriv_sum(model: ModelSpec, lam: float, config: SolverConfig) -> float:
+    parts = risk_derivative(model, lam, config)
+    return parts.part3 + parts.part4
+
+
+def scalar_lambda_opt_search(model: ModelSpec, config: SolverConfig = DEFAULT_CONFIG) -> LambdaOptResult:
+    """The optimum search with one scalar fixed-point solve per grid point
+    and per bisection step in ``lam``: the same grid, roots, fallback and
+    decisions as ``lambda_opt_search``, which solves the grid as one array
+    and refines the roots in ``m``."""
+    lo, hi = regime_guard(model, config)
+    grid = _search_grid(lo, hi)
+    underparam = model.gamma < 1.0
+
+    derivs = np.full(grid.shape, np.nan)
+    for i, lam in enumerate(grid):
+        if underparam and lam == 0.0:
+            continue  # fixed point degenerates at the ridgeless endpoint
+        derivs[i] = _deriv_sum(model, float(lam), config)
+
+    roots = []
+    finite = ~np.isnan(derivs)
+    idx = np.flatnonzero(finite)
+    for a, b in zip(idx[:-1], idx[1:]):
+        da, db = derivs[a], derivs[b]
+        if da == 0.0:
+            roots.append(float(grid[a]))
+        elif da * db < 0.0:
+            sign = math.copysign(1.0, da)  # bisect wants f > 0 left of the root
+            roots.append(bisect(lambda t: sign * _deriv_sum(model, t, config), float(grid[a]), float(grid[b]),
+                                config.tol, config.max_iter, 1.0))
+    if finite.size and derivs[idx[-1]] == 0.0:
+        roots.append(float(grid[idx[-1]]))
+
+    candidates = [(lam, asymptotic_risk(model, lam, config).total, "derivative_root") for lam in roots]
+    if underparam:
+        candidates.append((0.0, asymptotic_risk(model, 0.0, config).total, "golden_section"))
+    if not roots:
+        a = float(grid[1]) if underparam else lo
+        lam_g = golden_min(lambda t: asymptotic_risk(model, t, config).total, a, hi,
+                           _GOLDEN_RTOL, 3 * config.max_iter, _GOLDEN_FLOOR)
+        candidates.append((lam_g, asymptotic_risk(model, lam_g, config).total, "golden_section"))
+
+    candidates.sort(key=lambda c: c[1])
+    lam_opt, risk_opt, method = candidates[0]
+
+    tie = any(
+        abs(c[1] - risk_opt) <= _TIE_RTOL * max(1.0, abs(risk_opt))
+        and abs(c[0] - lam_opt) > max(_ZERO_ATOL, 1e-6 * abs(lam_opt))
+        for c in candidates[1:]
+    )
+    if tie:
+        sign = "indeterminate"
+    elif abs(lam_opt) <= _ZERO_ATOL:
+        sign = "zero"
+    else:
+        sign = "negative" if lam_opt < 0.0 else "positive"
+
+    closed = lambda_opt_closed_form(model, config)
+    if closed is not None and abs(closed.lambda_opt - lam_opt) > 1e-6 * max(1.0, abs(closed.lambda_opt)):
+        raise SolverError(
+            "search disagrees with the applicable closed form",
+            {"search": lam_opt, "closed_form": closed.lambda_opt},
+        )
+    return LambdaOptResult(
+        lambda_opt=lam_opt,
+        risk_at_opt=risk_opt,
+        method=method,
+        sign_class=sign,
+        domain=(lo, hi),
+    )

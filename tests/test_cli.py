@@ -154,7 +154,17 @@ class TestExitCodes:
         ["risk-curve", "--gamma", "2", "--spectrum", "pointmass:1", "--lambda-grid", "1,abc"],
         ["solve-m", "--gamma", "2", "--spectrum", "[[1,1,0.5],[2,1,0.4]]", "--lambda", "1"],
         ["reproduce", {"spectrum": [[1, 1, 1.0]], "gamma": "abc", "grid": [0.5]}],
-    ], ids=["pointmass-value", "grid-value", "weights-sum", "scenario-gamma"])
+        ["solve-m", "--gamma", "0", "--spectrum", "pointmass:1", "--lambda", "1"],
+        ["weight-compare", "--gamma", "0", "--recipe", "fig5-left", "--sigma2", "1"],
+        ["simulate", "--gamma", "2", "--recipe", "dc-dc", "--lambda-grid", "1", "--n", "20", "--replicates", "0"],
+        ["simulate", "--gamma", "2", "--spectrum", "pointmass:1", "--lambda-grid", "1", "--n", "0"],
+        ["reproduce", {"spectrum": [[1, 1, 1.0]], "gamma": 2, "grid": [0.5], "mc": {"n": 0}}],
+        ["reproduce", {"spectrum": [[1, 1, 1.0]], "gamma": 2, "grid": [0.5], "mc": {"n": 20, "replicates": 0}}],
+        ["lambda-opt", "--gamma", "2", "--spectrum", "pointmass:1,0", "--sigma2", "1"],
+        ["lambda-opt", "--gamma", "2", "--spectrum", "pointmass:1,0", "--sigma2", "0"],
+    ], ids=["pointmass-value", "grid-value", "weights-sum", "scenario-gamma", "model-gamma", "weighted-model-gamma",
+            "replicates", "ensemble-n", "scenario-mc-n", "scenario-mc-replicates", "zero-signal-noisy",
+            "zero-signal-noiseless"])
     def test_malformed_input_is_a_domain_error(self, capsys, tmp_path, argv) -> None:
         if isinstance(argv[-1], dict):
             (tmp_path / "scenario.json").write_text(json.dumps(argv[-1]))
@@ -222,6 +232,11 @@ class TestCurves:
         assert rows[1][-1] == "regime-boundary"
         assert rows[2][-1] == ""
         assert rows[3][-1] == "outside-domain"
+
+    def test_flat_signal_above_the_search_cap(self, capsys) -> None:
+        code, out = run(capsys, ["lambda-opt", "--gamma", "2", "--spectrum", "pointmass:1,0.001", "--sigma2", "1"])
+        _, rows = parse_csv(out)
+        assert (code, float(rows[0][0]), rows[0][3]) == (0, 1000.0, "closed_form")
 
     def test_lambda_opt_row(self, capsys) -> None:
         code, out = run(

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from ridgelab import optimize, risk, stieltjes
 from ridgelab import (
     DomainError,
     JointSpectrum,
@@ -21,6 +23,7 @@ from ridgelab import (
     monotonicity_sweep,
     negative_ridge_threshold,
     point_mass,
+    recipe_spectrum,
     regime_guard,
     select_weighting,
     weighted_lambda_opt,
@@ -140,6 +143,44 @@ class TestSearch:
         edge = find_edge(model)
         assert out.domain[0] == pytest.approx(-edge.c0_effective * (1.0 - 1e-3))
         assert out.lambda_opt > out.domain[0]
+
+    def test_flat_signal_above_the_cap_returns_the_closed_form(self) -> None:
+        # sigma2 / E[g] = 1000 lies above lam_max = 100 (sigma2 + gamma E[gh]) = 100.2
+        out = lambda_opt_search(ModelSpec(2.0, 1.0, point_mass(1.0, 0.001)))
+        assert out.domain[1] == pytest.approx(100.2)
+        assert out.lambda_opt == pytest.approx(1000.0, rel=1e-12)
+        assert (out.method, out.sign_class) == ("closed_form", "positive")
+
+    def test_closed_form_inside_the_domain_is_cross_checked(self, monkeypatch) -> None:
+        model = ModelSpec(2.0, 0.4, FLAT)
+        wrong = dataclasses.replace(lambda_opt_closed_form(model), lambda_opt=1.0)
+        monkeypatch.setattr(optimize, "lambda_opt_closed_form", lambda model, config: wrong)
+        with pytest.raises(SolverError, match="disagrees with the applicable closed form"):
+            lambda_opt_search(model)
+
+    @pytest.mark.parametrize("sigma2", [0.0, 1.0])
+    def test_zero_signal_has_no_finite_optimum(self, sigma2: float) -> None:
+        model = ModelSpec(2.0, sigma2, point_mass(1.0, 0.0))
+        for search in (lambda_opt_search, lambda_opt_closed_form):
+            with pytest.raises(DomainError, match="not finite without signal"):
+                search(model)
+
+    def test_no_fixed_point_solve_per_grid_point(self, monkeypatch) -> None:
+        # the scan is one array solve and the roots are refined in m; a
+        # scalar solve per grid point would make over 500 calls
+        calls = []
+        original = stieltjes.solve_m
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (stieltjes, risk, optimize):
+            if getattr(module, "solve_m", None) is original:
+                monkeypatch.setattr(module, "solve_m", counted)
+        out = lambda_opt_search(ModelSpec(2.0, 0.0, recipe_spectrum("fig4-twopoint", alpha=1.0)))
+        assert out.method == "derivative_root"
+        assert len(calls) <= 5
 
 
 class TestRegimeGuard:

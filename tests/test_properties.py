@@ -3,7 +3,8 @@
 The reference ``m`` comes from a 40-digit ``mpmath`` bisection that finds
 its own branch edge and brackets.  The ``lambda`` residual is not asserted:
 it is ill-conditioned when ``1/m`` is much larger than ``lambda``, while
-``m`` itself stays accurate.
+``m`` itself stays accurate.  The optimum search is checked against the
+scalar search of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ridgelab import JointSpectrum, ModelSpec, asymptotic_risk, solve_m
+from ridgelab import JointSpectrum, ModelSpec, asymptotic_risk, lambda_opt_search, solve_m
+from ridgelab.stieltjes import solve_m_grid
+
+from oracles import scalar_lambda_opt_search
 
 mp.mp.dps = 40
 TINY = mp.mpf(10) ** -30
@@ -102,3 +106,35 @@ def test_solve_m_matches_high_precision_reference(problem) -> None:
     ev = asymptotic_risk(model, lam)
     assert abs(ev.bias + ev.variance - ev.total) <= 1e-12 * ev.total
     assert ev.total >= sigma2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(problems())
+def test_grid_solve_matches_high_precision_reference(problem) -> None:
+    spec, gamma, _, lam = problem
+    if lam <= 0.0 and gamma * spec.positive_mass() <= 1.0:
+        return  # served by the companion route of the scalar solve only
+    lams = [lam, lam + 1.0]  # two rows; both inside the domain when lam is
+    for x, m_x in zip(lams, solve_m_grid(ModelSpec(gamma, 0.0, spec), lams)):
+        m_ref = float(reference([mp.mpf(v) for v in spec.h], [mp.mpf(v) for v in spec.w], gamma, mp.mpf(x)))
+        assert abs(m_x - m_ref) <= 1e-12 * m_ref
+
+
+@st.composite
+def search_problems(draw):
+    k = draw(st.integers(1, 6))
+    h = [draw(st.floats(0.1, 10)) for _ in range(k)]
+    g = [draw(st.floats(0.1, 10)) for _ in range(k)]
+    w = np.array([draw(st.floats(0.05, 1)) for _ in range(k)])
+    w /= w.sum()
+    gamma = draw(st.sampled_from([0.5, 0.8, 1.5, 2.0, 4.0]))
+    return ModelSpec(gamma, draw(st.floats(0, 2)), JointSpectrum(np.column_stack([h, g, w])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(search_problems())
+def test_search_matches_the_scalar_search(model) -> None:
+    out, ref = lambda_opt_search(model), scalar_lambda_opt_search(model)
+    assert (out.method, out.sign_class, out.domain) == (ref.method, ref.sign_class, ref.domain)
+    assert abs(out.lambda_opt - ref.lambda_opt) <= 1e-10 * max(1.0, abs(ref.lambda_opt))
+    assert abs(out.risk_at_opt - ref.risk_at_opt) <= 1e-10 * ref.risk_at_opt

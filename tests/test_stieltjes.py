@@ -21,6 +21,7 @@ from ridgelab import (
     truncate_top,
     Uniform,
 )
+from ridgelab.stieltjes import solve_m_grid
 
 from oracles import second_derivative, solve_companion
 
@@ -100,6 +101,20 @@ class TestSolveM:
         model = ModelSpec(2.0, 0.0, point_mass(1.0))
         with pytest.raises(DomainError):
             solve_m(model, math.inf)
+
+
+class TestSolveMGrid:
+    def test_isotropic_quadratic_on_both_branches(self) -> None:
+        lams = [-0.05, 0.0, 0.5, 5.0]
+        m = solve_m_grid(ModelSpec(2.0, 0.0, point_mass(1.0)), lams)
+        assert m == pytest.approx([isotropic_root(2.0, lam) for lam in lams], rel=1e-13)
+        m = solve_m_grid(ModelSpec(0.5, 0.0, point_mass(1.0)), [0.5, 5.0])
+        assert m == pytest.approx([isotropic_root(0.5, lam) for lam in (0.5, 5.0)], rel=1e-13)
+
+    @pytest.mark.parametrize("gamma, lam", [(2.0, -0.5), (0.5, 0.0), (0.5, -0.01)])
+    def test_outside_the_domain(self, gamma: float, lam: float) -> None:
+        with pytest.raises(DomainError):
+            solve_m_grid(ModelSpec(gamma, 0.0, point_mass(1.0)), [1.0, lam])
 
 
 class TestFindEdge:
