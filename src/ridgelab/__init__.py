@@ -71,7 +71,6 @@ from .spectra import (
     truncate_top,
 )
 from .stieltjes import (
-    SolverConfig,
     find_edge,
     lambda_of_m,
     solve_m,
@@ -95,7 +94,6 @@ __all__ = [
     "RiskEvaluation",
     "ShiftedAbsNormal",
     "ShiftedInvAbsNormal",
-    "SolverConfig",
     "SolverError",
     "TwoPointSpec",
     "Uniform",

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, RegimeError, SolverError
 from .risk import asymptotic_risk, derivative_parts, risk_at_m, weighted_model
 from .spectra import JointSpectrum, ModelSpec, WeightedSpectrum
-from .stieltjes import DEFAULT_CONFIG, SolverConfig, bisect, find_edge, golden_min, solve_m, solve_m_grid
+from .stieltjes import bisect, find_edge, golden_min, solve_m, solve_m_grid
 
 _GRID_POINTS = 512
 _ZERO_ATOL = 1e-7
@@ -33,6 +33,8 @@ _GOLDEN_RTOL, _GOLDEN_FLOOR = 2e-11, 0.5
 # derivative roots are refined in m to 1e-14 relative: lam moves by at most
 # about 1e-14 * (|lam| + gamma E[h]), far inside the 1e-12 of a scalar solve
 _M_RTOL = 1e-14
+# step caps of the root bisection and of the golden section
+_BISECT_MAX_ITER, _GOLDEN_MAX_ITER = 200, 600
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,7 @@ def classify_sign(model: ModelSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
-def lambda_opt_closed_form(model: ModelSpec, config: SolverConfig = DEFAULT_CONFIG):
+def lambda_opt_closed_form(model: ModelSpec):
     """Exact optimum when the conditional signal profile is flat.
 
     Whenever ``E[g | h]`` does not depend on ``h`` (point-mass designs,
@@ -161,11 +163,11 @@ def lambda_opt_closed_form(model: ModelSpec, config: SolverConfig = DEFAULT_CONF
     _, means, masses = conditional_means(model.spectrum)
     if _monotonicity(means) != "constant":
         return None
-    _require_signal(model)
+    _require_signal(model.spectrum)
     e_g = float(np.dot(masses, means))
     lam_opt = model.sigma2 / e_g
     try:
-        domain = regime_guard(model, config)
+        domain = regime_guard(model)
     except RegimeError:
         domain = (lam_opt, lam_opt)
     if lam_opt == 0.0 and model.gamma == 1.0:
@@ -173,7 +175,7 @@ def lambda_opt_closed_form(model: ModelSpec, config: SolverConfig = DEFAULT_CONF
         # the limit but the fixed point itself degenerates.
         risk_val = 0.0
     else:
-        risk_val = asymptotic_risk(model, lam_opt, config).total
+        risk_val = asymptotic_risk(model, lam_opt).total
     sign = "zero" if lam_opt == 0.0 else "positive"
     return LambdaOptResult(
         lambda_opt=lam_opt,
@@ -184,15 +186,15 @@ def lambda_opt_closed_form(model: ModelSpec, config: SolverConfig = DEFAULT_CONF
     )
 
 
-def _require_signal(model: ModelSpec) -> None:
-    if model.spectrum.e_gh() == 0.0:
+def _require_signal(spectrum: JointSpectrum) -> None:
+    if spectrum.e_gh() == 0.0:
         raise DomainError(
             "the optimal regularization is not finite without signal (E[g h] = 0): "
             "the risk falls toward lam = +inf, or is flat when sigma2 = 0"
         )
 
 
-def regime_guard(model: ModelSpec, config: SolverConfig = DEFAULT_CONFIG) -> tuple:
+def regime_guard(model: ModelSpec) -> tuple:
     """Admissible search interval for the optimal regularization.
 
     Overparameterized problems may search a margin above the effective
@@ -204,11 +206,11 @@ def regime_guard(model: ModelSpec, config: SolverConfig = DEFAULT_CONFIG) -> tup
     """
     if model.gamma == 1.0:
         raise RegimeError("aspect ratio exactly 1 is excluded from optimum searches")
-    _require_signal(model)
+    _require_signal(model.spectrum)
     lam_max = 100.0 * (model.sigma2 + model.gamma * model.spectrum.e_gh())
     if model.gamma < 1.0:
         return (0.0, lam_max)
-    edge = find_edge(model, config)
+    edge = find_edge(model)
     lo = -edge.c0_effective * (1.0 - 1e-3)
     return (lo, lam_max)
 
@@ -232,7 +234,7 @@ def _deriv_sum(model: ModelSpec, m: float) -> float:
     return float(parts.part3[0] + parts.part4[0])
 
 
-def lambda_opt_search(model: ModelSpec, config: SolverConfig = DEFAULT_CONFIG) -> LambdaOptResult:
+def lambda_opt_search(model: ModelSpec) -> LambdaOptResult:
     """Locate the risk-minimizing regularization by derivative sign scan.
 
     Solves the fixed point on a 512-point grid with geometric resolution
@@ -249,14 +251,14 @@ def lambda_opt_search(model: ModelSpec, config: SolverConfig = DEFAULT_CONFIG) -
     search result is cross-checked against it and a disagreement beyond
     1e-6 raises SolverError.
     """
-    lo, hi = regime_guard(model, config)
-    closed = lambda_opt_closed_form(model, config)
+    lo, hi = regime_guard(model)
+    closed = lambda_opt_closed_form(model)
     if closed is not None and not lo <= closed.lambda_opt <= hi:
         return closed
     grid = _search_grid(lo, hi)
     underparam = model.gamma < 1.0
     # the fixed point degenerates at the ridgeless endpoint, grid[0] = 0
-    m = solve_m_grid(model, grid[1:] if underparam else grid, config)
+    m = solve_m_grid(model, grid[1:] if underparam else grid)
     parts = derivative_parts(model, m)
     derivs = parts.part3 + parts.part4
 
@@ -268,18 +270,18 @@ def lambda_opt_search(model: ModelSpec, config: SolverConfig = DEFAULT_CONFIG) -
             # m falls as lam rises; bisect wants f > 0 at the left (smaller) end
             sign = math.copysign(1.0, derivs[k + 1])
             roots.append(bisect(lambda t: sign * _deriv_sum(model, t), float(m[k + 1]), float(m[k]),
-                                _M_RTOL, config.max_iter))
+                                _M_RTOL, _BISECT_MAX_ITER))
     if derivs[-1] == 0.0:
         roots.append(float(m[-1]))
 
     candidates = [(ev.lam, ev.total, "derivative_root") for ev in (risk_at_m(model, r) for r in roots)]
     if underparam:
-        candidates.append((0.0, asymptotic_risk(model, 0.0, config).total, "golden_section"))
+        candidates.append((0.0, asymptotic_risk(model, 0.0).total, "golden_section"))
     if not roots:
         a = float(grid[1]) if underparam else lo
-        lam_g = golden_min(lambda t: asymptotic_risk(model, t, config).total, a, hi,
-                           _GOLDEN_RTOL, 3 * config.max_iter, _GOLDEN_FLOOR)
-        candidates.append((lam_g, asymptotic_risk(model, lam_g, config).total, "golden_section"))
+        lam_g = golden_min(lambda t: asymptotic_risk(model, t).total, a, hi,
+                           _GOLDEN_RTOL, _GOLDEN_MAX_ITER, _GOLDEN_FLOOR)
+        candidates.append((lam_g, asymptotic_risk(model, lam_g).total, "golden_section"))
 
     candidates.sort(key=lambda c: c[1])
     lam_opt, risk_opt, method = candidates[0]
@@ -350,7 +352,6 @@ def monotonicity_sweep(
     spectrum: JointSpectrum,
     sigma2: float,
     gamma_grid,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> list:
     """Optimally tuned risk as dimensions proliferate at fixed signal.
 
@@ -360,10 +361,13 @@ def monotonicity_sweep(
     ``gamma * sigma2 / c`` exactly.  Returns ``(gamma, lambda_opt, risk)``
     rows and checks the risk sequence is non-decreasing within 1e-10; a
     violation raises SolverError since it would falsify the closed form.
+    A spectrum without signal (``c = 0``) has no finite optimum, a
+    DomainError.
     """
     _, means, _ = conditional_means(spectrum)
     if _monotonicity(means) != "constant":
         raise DomainError("sweep requires a flat signal profile (g constant)")
+    _require_signal(spectrum)
     c = float(means[0])
     rows = []
     for gamma in gamma_grid:
@@ -376,7 +380,7 @@ def monotonicity_sweep(
             rows.append((gamma, 0.0, 0.0))
             continue
         lam_opt = gamma * sigma2 / c
-        m = solve_m(ModelSpec(gamma, sigma2, spectrum), lam_opt, config).m
+        m = solve_m(ModelSpec(gamma, sigma2, spectrum), lam_opt).m
         rows.append((gamma, lam_opt, sigma2 / (lam_opt * m)))
     risks = [r[2] for r in rows]
     for a, b in zip(risks[:-1], risks[1:]):
@@ -427,7 +431,6 @@ def weighted_lambda_opt(
     wspec: WeightedSpectrum,
     gamma: float,
     sigma2: float,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> LambdaOptResult:
     """Optimal regularization for a generalized penalty via projection."""
-    return lambda_opt_search(weighted_model(wspec, gamma, sigma2), config)
+    return lambda_opt_search(weighted_model(wspec, gamma, sigma2))

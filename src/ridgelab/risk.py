@@ -22,8 +22,6 @@ import numpy as np
 from .errors import DomainError, RegimeError, SolverError
 from .spectra import ModelSpec, WeightedSpectrum, split_top_mass, truncate_top
 from .stieltjes import (
-    DEFAULT_CONFIG,
-    SolverConfig,
     StieltjesSolution,
     block_rows,
     solution_at,
@@ -31,7 +29,8 @@ from .stieltjes import (
     solve_m_theta,
 )
 
-_FORM_AGREEMENT_TOL = 1e-10
+# half-width of the rejected band around theta * gamma = 1, where the risk diverges
+_BOUNDARY_BAND = 1e-11
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ def _risk_from_solution(model: ModelSpec, sol: StieltjesSolution) -> RiskEvaluat
     )
 
 
-def asymptotic_risk(model: ModelSpec, lam: float, config: SolverConfig = DEFAULT_CONFIG) -> RiskEvaluation:
+def asymptotic_risk(model: ModelSpec, lam: float) -> RiskEvaluation:
     """Limiting excess-plus-noise risk at regularization ``lam``.
 
     The underparameterized ridgeless point (``gamma < 1``, ``lam = 0``) is
@@ -102,7 +101,7 @@ def asymptotic_risk(model: ModelSpec, lam: float, config: SolverConfig = DEFAULT
     if lam == 0.0 and model.gamma < 1.0 and not model.spectrum.truncated:
         variance = model.sigma2 / (1.0 - model.gamma)
         return RiskEvaluation(lam=0.0, total=variance, bias=0.0, variance=variance, zeta_atoms=())
-    sol = solve_m(model, lam, config)
+    sol = solve_m(model, lam)
     return _risk_from_solution(model, sol)
 
 
@@ -111,15 +110,15 @@ def risk_at_m(model: ModelSpec, m: float) -> RiskEvaluation:
     return _risk_from_solution(model, solution_at(model, m))
 
 
-def risk_curve(model: ModelSpec, lams, config: SolverConfig = DEFAULT_CONFIG) -> list:
+def risk_curve(model: ModelSpec, lams) -> list:
     """Evaluate the risk on a grid of regularization values."""
-    return [asymptotic_risk(model, float(lam), config) for lam in lams]
+    return [asymptotic_risk(model, float(lam)) for lam in lams]
 
 
-def risk_derivative(model: ModelSpec, lam: float, config: SolverConfig = DEFAULT_CONFIG) -> DerivativeParts:
+def risk_derivative(model: ModelSpec, lam: float) -> DerivativeParts:
     """Signed decomposition of ``d(total risk)/d lam`` at ``lam``: the
     fixed-point solve followed by :func:`derivative_parts`."""
-    parts = derivative_parts(model, np.array([solve_m(model, lam, config).m]))
+    parts = derivative_parts(model, np.array([solve_m(model, lam).m]))
     return DerivativeParts(*(float(a[0]) for a in (parts.part3, parts.part4, parts.prefactor)))
 
 
@@ -163,59 +162,32 @@ def derivative_parts(model: ModelSpec, m: np.ndarray) -> DerivativeParts:
     return DerivativeParts(part3=part3, part4=part4, prefactor=2.0 * model.gamma * m / margin**2)
 
 
-def _display_form_numerator(spectrum, theta: float, m: float, gamma: float) -> float:
-    """Signal term of the truncated-regression risk, evaluated straight
-    from the quantile definition: the numerator keeps the original
-    eigenvalue while the resolvent factor only sees the retained part.
-
-    Independent of :func:`ridgelab.spectra.split_top_mass`, so the two
-    routes cross-check each other's mass accounting (including the
-    proportional handling of tied eigenvalue levels).
-    """
-    neg_levels, inverse = np.unique(-spectrum.h, return_inverse=True)
-    level_mass = np.bincount(inverse, weights=spectrum.w)
-    cum = np.cumsum(level_mass)
-    kept_level = np.clip(theta - (cum - level_mass), 0.0, level_mass)
-    kept = spectrum.w * (kept_level / level_mass)[inverse]
-    gh = spectrum.g * spectrum.h
-    resolved = gh / (1.0 + spectrum.h * m) ** 2
-    return gamma * float(np.dot(kept, resolved) + np.dot(spectrum.w - kept, gh))
-
-
-def pcr_risk(model: ModelSpec, theta: float, config: SolverConfig = DEFAULT_CONFIG) -> RiskEvaluation:
+def pcr_risk(model: ModelSpec, theta: float) -> RiskEvaluation:
     """Risk of ridgeless regression on the top-``theta`` eigenvalue mass.
 
     Both regimes are served; the boundary band
-    ``|theta * gamma - 1| < 10 * config.tol`` is rejected because the risk
-    diverges there.  In the overparameterized regime the evaluation runs
-    the grouped form (retained and dropped mass summed separately) and
-    cross-asserts the quantile-display form to 1e-10.
+    ``|theta * gamma - 1| < 1e-11`` is rejected because the risk diverges
+    there.  In the overparameterized regime the evaluation runs the
+    grouped form (retained and dropped mass summed separately).
     """
     if not (0.0 < theta <= 1.0):
         raise DomainError(f"theta must lie in (0, 1], got {theta!r}")
     tg = theta * model.gamma
-    if abs(tg - 1.0) < 10.0 * config.tol:
+    if abs(tg - 1.0) < _BOUNDARY_BAND:
         raise RegimeError(f"theta * gamma = {tg!r} sits in the divergent boundary band")
     h, g, w_kept, w_dropped = split_top_mass(model.spectrum, theta)
     gh = g * h
     if tg > 1.0:
-        sol = solve_m_theta(model, theta, config)
+        sol = solve_m_theta(model, theta)
         pref = sol.m_prime / sol.m**2
         kept_term = model.gamma * float(np.dot(w_kept, gh / (1.0 + h * sol.m) ** 2))
         dropped_term = model.gamma * float(np.dot(w_dropped, gh))
         bias = pref * (kept_term + dropped_term)
         variance = model.sigma2 * pref
-        total = bias + variance
-        display = pref * (_display_form_numerator(model.spectrum, theta, sol.m, model.gamma) + model.sigma2)
-        if abs(total - display) > _FORM_AGREEMENT_TOL * max(1.0, abs(total)):
-            raise SolverError(
-                "grouped and quantile-display risk forms disagree",
-                {"theta": theta, "grouped": total, "display": display},
-            )
         zeta = truncate_top(model.spectrum, theta).h * sol.m
         return RiskEvaluation(
             lam=0.0,
-            total=total,
+            total=bias + variance,
             bias=bias,
             variance=variance,
             zeta_atoms=tuple(float(z) for z in zeta),
@@ -225,9 +197,9 @@ def pcr_risk(model: ModelSpec, theta: float, config: SolverConfig = DEFAULT_CONF
     return RiskEvaluation(lam=0.0, total=bias + variance, bias=bias, variance=variance, zeta_atoms=())
 
 
-def pcr_curve(model: ModelSpec, thetas, config: SolverConfig = DEFAULT_CONFIG) -> list:
+def pcr_curve(model: ModelSpec, thetas) -> list:
     """Evaluate the truncated-regression risk on a grid of retained mass."""
-    return [pcr_risk(model, float(t), config) for t in thetas]
+    return [pcr_risk(model, float(t)) for t in thetas]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +217,6 @@ def weighted_risk(
     gamma: float,
     sigma2: float,
     lam: float,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> RiskEvaluation:
     """Risk under a generalized quadratic penalty.
 
@@ -253,7 +224,7 @@ def weighted_risk(
     projected atoms ``(h, g) = (r, s v / r)``; there is no separate
     weighted formula to drift out of sync.
     """
-    return asymptotic_risk(weighted_model(wspec, gamma, sigma2), lam, config)
+    return asymptotic_risk(weighted_model(wspec, gamma, sigma2), lam)
 
 
 def interpolate_penalty(wspec: WeightedSpectrum, alpha: float) -> WeightedSpectrum:
@@ -274,8 +245,7 @@ def alpha_path_risk(
     sigma2: float,
     alpha: float,
     lam: float,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> RiskEvaluation:
     """Risk at one point of the penalty-interpolation path."""
-    return weighted_risk(interpolate_penalty(wspec, alpha), gamma, sigma2, lam, config)
+    return weighted_risk(interpolate_penalty(wspec, alpha), gamma, sigma2, lam)
 

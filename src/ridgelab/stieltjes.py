@@ -1,6 +1,6 @@
 """Fixed-point solves for the resolvent trace of the sample covariance.
 
-The central object is the positive solution ``m`` of
+The central object is the solution ``m`` of
 
     lam = 1/m - gamma * E[h / (1 + h m)]
 
@@ -13,18 +13,21 @@ Branch structure: when ``gamma * P(h > 0) > 1`` the map above is a
 decreasing bijection from the principal interval ``(0, m_edge)`` onto
 ``(-c0_effective, +inf)``, where ``m_edge`` solves
 ``1/m^2 = gamma * E[h^2/(1+h m)^2]`` and ``c0_effective`` is the largest
-admissible negative regularization.  Bisection on that interval is
-guaranteed to converge and never strays onto spurious branches, which is
-why the scalar solve uses it instead of Newton steps; the array solve
-over a whole regularization grid (:func:`solve_m_grid`) takes Newton
-steps safeguarded by bisection inside each root's bracket.  When
-``gamma * P(h > 0) <= 1`` the scalar solve is routed through the
-companion transform ``s`` (the resolvent trace seen from the sample
-side), which stays well behaved there.
+admissible negative regularization; otherwise it maps ``(0, inf)`` onto
+``(0, inf)``.  Every root on these principal branches, one or a whole
+regularization grid, comes from one array kernel (:func:`solve_m_grid`):
+Newton steps safeguarded by bisection inside a bracket on which the map
+decreases, so no iterate strays onto a spurious branch.  Negative ``lam``
+with ``gamma * P(h > 0) <= 1`` has its root at ``m < 0``, off those
+branches; it is routed through the companion transform ``s`` (the
+resolvent trace seen from the sample side), which stays well behaved
+there.
 
 ``m'`` is always computed from the closed-form identity
 ``m' = 1 / (1/m^2 - gamma * E[h^2/(1+h m)^2])``, never by finite
-differencing.
+differencing.  The identity needs ``1/m^2`` as a float64 number, so the
+principal solves serve ``1e-154 < m < 1e154`` and raise DomainError
+beyond.
 """
 
 import math
@@ -37,29 +40,11 @@ from .errors import DomainError, RegimeError, SolverError
 from .spectra import ModelSpec, truncate_top
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances for the bisection solves.
-
-    ``tol`` is relative on the solved quantity, ``max_iter`` caps each
-    bracketing or bisection loop, and ``bracket_factor`` is the geometric
-    expansion rate used while hunting for a sign change.
-    """
-
-    tol: float = 1e-12
-    max_iter: int = 200
-    bracket_factor: float = 2.0
-
-    def __post_init__(self):
-        if not (0 < self.tol < 1e-2):
-            raise ValueError("tol must lie in (0, 1e-2)")
-        if self.max_iter < 10:
-            raise ValueError("max_iter must be at least 10")
-        if self.bracket_factor <= 1:
-            raise ValueError("bracket_factor must exceed 1")
-
-
-DEFAULT_CONFIG = SolverConfig()
+# bisections stop at 1e-12 relative; every bracketing or bisection loop
+# gives up after 200 steps, and bracket hunts grow by a factor of 2
+_TOL = 1e-12
+_MAX_ITER = 200
+_BRACKET_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -67,8 +52,9 @@ class StieltjesSolution:
     """Solution of the trace fixed point at one regularization value.
 
     ``residual`` is the defining-equation mismatch scaled by
-    ``max(1, |lam|)``.  ``m_prime`` comes from the closed-form derivative
-    identity and is strictly positive on the principal branch.
+    ``max(|lam|, 1/|m|)``, the size of the terms that cancel in it.
+    ``m_prime`` comes from the closed-form derivative identity and is
+    strictly positive on the principal branch.
     """
 
     lam: float
@@ -181,13 +167,13 @@ def _mprime_denom(model: ModelSpec, m: float) -> float:
 
 
 @lru_cache(maxsize=512)
-def find_edge(model: ModelSpec, config: SolverConfig = DEFAULT_CONFIG) -> EdgeInfo:
+def find_edge(model: ModelSpec) -> EdgeInfo:
     """Locate the endpoint of the principal branch.
 
     Solves ``1/m^2 = gamma * E[h^2/(1+h m)^2]`` by bisection.  Requires
     ``gamma * P(h > 0) > 1``; below that the equation has no positive root
     and there is no negative-ridge domain to map out.  Results are
-    memoized per (model, config) since every solve at the same aspect
+    memoized per model since every solve at the same aspect
     ratio shares the branch endpoint.
     """
     spec = model.spectrum
@@ -200,56 +186,51 @@ def find_edge(model: ModelSpec, config: SolverConfig = DEFAULT_CONFIG) -> EdgeIn
     def gap(m: float) -> float:  # 1 - gamma*E[(hm)^2/(1+hm)^2], positive inside the branch
         return _mprime_denom(model, m) * m * m
 
-    lo, hi = expand_bracket(gap, 1.0 / spec.c_lower, config.bracket_factor, config.max_iter)
+    lo, hi = expand_bracket(gap, 1.0 / spec.c_lower, _BRACKET_FACTOR, _MAX_ITER)
     if lo == 0.0:
-        lo = hi / config.bracket_factor**config.max_iter
-    m_edge = bisect(gap, lo, hi, config.tol, config.max_iter)
+        lo = hi / _BRACKET_FACTOR**_MAX_ITER
+    m_edge = bisect(gap, lo, hi, _TOL, _MAX_ITER)
     c0_eff = -lambda_of_m(model, m_edge)
     c0_bound = (math.sqrt(model.gamma) - 1.0) ** 2 * spec.c_lower
     return EdgeInfo(m_edge=m_edge, c0_effective=c0_eff, c0_bound=c0_bound)
 
 
-def solve_m(model: ModelSpec, lam: float, config: SolverConfig = DEFAULT_CONFIG) -> StieltjesSolution:
+def solve_m(model: ModelSpec, lam: float) -> StieltjesSolution:
     """Solve the trace fixed point at regularization ``lam``.
 
-    Overparameterized-mass regimes (``gamma * P(h > 0) > 1``) bisect the
-    principal interval and accept any ``lam`` above ``-c0_effective``.
-    Otherwise the solve routes through the companion transform, which
-    serves ``lam > 0`` and, below the underparameterized spectrum edge
-    permitting, ``lam < 0``; exactly ``lam = 0`` has no finite trace in
-    this regime.
+    On the principal branches the root is row 0 of
+    ``solve_m_grid(model, [lam])``: any ``lam > -c0_effective`` when
+    ``gamma * P(h > 0) > 1``, and any ``lam > 0`` otherwise.  Negative
+    ``lam`` with ``gamma * P(h > 0) <= 1`` goes through the companion
+    transform down to the underparameterized spectrum edge; exactly
+    ``lam = 0`` has no finite trace there.  Admissible ``lam`` also keep
+    ``1e-154 < m < 1e154``, where ``1/m^2`` in the identity for ``m'`` is a
+    float64 number: ``lam + gamma E[h]`` stays below about 1e154, and with
+    ``gamma * P(h > 0) <= 1`` a positive ``lam`` stays above about
+    1e-154.  Outside the domain a DomainError is raised.
     """
     if not math.isfinite(lam):
         raise DomainError(f"lam must be finite, got {lam!r}")
-    gp = model.gamma * model.spectrum.positive_mass()
-    if gp > 1.0:
-        edge = find_edge(model, config)
-        if lam <= -edge.c0_effective:
-            raise DomainError(
-                f"lam={lam!r} at or below the admissible limit "
-                f"-c0_effective={-edge.c0_effective!r}",
-                c0_effective=edge.c0_effective,
-            )
-        _, lo = expand_bracket(lambda t: lam - lambda_of_m(model, t), 0.5 * edge.m_edge, 0.5, config.max_iter)
-        m = bisect(lambda t: lambda_of_m(model, t) - lam, lo, edge.m_edge, config.tol, config.max_iter)
-    else:
+    if lam <= 0.0 and model.gamma * model.spectrum.positive_mass() <= 1.0:
         if lam == 0.0:
             raise DomainError(
                 "the ridgeless trace diverges when gamma * P(h > 0) <= 1; "
                 "evaluate the risk limit directly instead",
             )
-        m = (1.0 - model.gamma) / lam + model.gamma * _companion_direct(model, lam, config)
+        m = (1.0 - model.gamma) / lam + model.gamma * _companion_direct(model, lam)
+    else:
+        m = float(solve_m_grid(model, [lam])[0])
     denom = _mprime_denom(model, m)
     if denom <= 0.0:
         raise SolverError(
             "derivative identity denominator not positive; solution left the principal branch",
             {"lam": lam, "m": m, "denom": denom},
         )
-    residual = abs(lambda_of_m(model, m) - lam) / max(1.0, abs(lam))
+    residual = abs(lambda_of_m(model, m) - lam) / max(abs(lam), 1.0 / abs(m))
     return StieltjesSolution(lam=lam, m=m, m_prime=1.0 / denom, residual=residual)
 
 
-def solve_m_theta(model: ModelSpec, theta: float, config: SolverConfig = DEFAULT_CONFIG) -> StieltjesSolution:
+def solve_m_theta(model: ModelSpec, theta: float) -> StieltjesSolution:
     """Ridgeless trace fixed point after keeping the top-``theta`` mass.
 
     Truncates the spectrum (removed mass parked at ``h = 0``, expectations
@@ -264,7 +245,7 @@ def solve_m_theta(model: ModelSpec, theta: float, config: SolverConfig = DEFAULT
         )
     truncated = truncate_top(model.spectrum, theta)
     sub = ModelSpec(model.gamma, model.sigma2, truncated)
-    return solve_m(sub, 0.0, config)
+    return solve_m(sub, 0.0)
 
 
 def solution_at(model: ModelSpec, m: float) -> StieltjesSolution:
@@ -281,6 +262,8 @@ def solution_at(model: ModelSpec, m: float) -> StieltjesSolution:
 # float64, so a 512 x 2048 grid adds no measurable memory over a scalar solve
 _BLOCK_ELEMENTS = 8192
 _GRID_RTOL = 1e-13
+# m and 1/m^2 are float64 numbers, with room to spare, for 1/_M_LIMIT < m < _M_LIMIT
+_M_LIMIT = 1e154
 
 
 def block_rows(rows: int, atoms: int) -> int:
@@ -290,25 +273,25 @@ def block_rows(rows: int, atoms: int) -> int:
     return max(1, min(rows, _BLOCK_ELEMENTS // atoms))
 
 
-def solve_m_grid(model: ModelSpec, lams, config: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
+def solve_m_grid(model: ModelSpec, lams) -> np.ndarray:
     """Principal ``m`` at every ``lam`` of ``lams`` in one array solve.
 
     Serves ``lam > -c0_effective`` when ``gamma * P(h > 0) > 1`` and
-    ``lam > 0`` otherwise, the same roots :func:`solve_m` finds.  Each
-    root lies in ``[1/(lam + gamma E[h]), min(1/lam, m_edge)]`` (the
+    ``lam > 0`` otherwise, within the float64 range of :func:`solve_m`.
+    Each root lies in ``[1/(lam + gamma E[h]), min(1/lam, m_edge)]`` (the
     upper end is ``m_edge`` on the principal branch, ``1/lam`` for
     ``lam > 0``), where ``lambda(m)`` decreases, and is found by Newton
     steps safeguarded by bisection.  A row is done once its Newton
     correction or its bracket is below 1e-13 relative; SolverError after
-    ``config.max_iter`` steps.
+    200 steps.
     """
     lams = np.asarray(lams, dtype=float)
     gamma, h, w = model.gamma, model.spectrum.h, model.spectrum.w
     if gamma * model.spectrum.positive_mass() > 1.0:
-        edge = find_edge(model, config)
+        edge = find_edge(model)
         if np.any(lams <= -edge.c0_effective):
             raise DomainError(
-                f"grid reaches {float(lams.min())!r}, at or below the admissible limit "
+                f"lam={float(lams.min())!r} at or below the admissible limit "
                 f"-c0_effective={-edge.c0_effective!r}",
                 c0_effective=edge.c0_effective,
             )
@@ -318,15 +301,23 @@ def solve_m_grid(model: ModelSpec, lams, config: SolverConfig = DEFAULT_CONFIG) 
     else:
         hi = np.full_like(lams, np.inf)
     up = lams > 0.0
-    hi[up] = np.minimum(hi[up], 1.0 / lams[up])  # lambda(1/lam) < lam
+    # lambda(1/lam) < lam; the floor keeps 1/lam finite, and a lam under it
+    # is rejected below unless m_edge is the tighter end
+    hi[up] = np.minimum(hi[up], 1.0 / np.maximum(lams[up], 1.0 / _M_LIMIT))
     lo = 1.0 / (lams + gamma * float(np.dot(w, h)))  # lambda(lo) > lam since h/(1+hm) < h
+    outside = (lo <= 1.0 / _M_LIMIT) | (hi >= _M_LIMIT)
+    if np.any(outside):
+        raise DomainError(
+            f"lam={float(lams[outside][0])!r} puts m outside (1e-154, 1e154), where "
+            "1/m^2 in the identity for m' is not a float64 number",
+        )
 
     m = np.empty_like(lams)
     step = block_rows(lams.size, h.size)
     work = np.empty((step, h.size))  # reused by every block
     for i in range(0, lams.size, step):
         rows = slice(i, i + step)
-        m[rows] = _newton_block(gamma, h, w, lams[rows], lo[rows], hi[rows], work, config.max_iter)
+        m[rows] = _newton_block(gamma, h, w, lams[rows], lo[rows], hi[rows], work, _MAX_ITER)
     return m
 
 
@@ -365,17 +356,27 @@ def _newton_block(gamma, h, w, target, lo, hi, work, max_iter):
     raise SolverError("grid solve did not converge", {"max_iter": max_iter, "unconverged": rows.size})
 
 
-def _companion_direct(model: ModelSpec, lam: float, config: SolverConfig) -> float:
-    """Sample-side resolvent trace ``s`` at ``lam != 0``, solving
+def _companion_direct(model: ModelSpec, lam: float) -> float:
+    """Sample-side resolvent trace ``s`` at ``lam < 0`` (underparameterized
+    only), solving
 
         s = E[1 / (h (1 - gamma + gamma lam s) + lam)].
 
-    The right side minus ``s`` is decreasing for ``lam > 0``; for
-    ``lam < 0`` (underparameterized only) it is convex and the principal
-    root is taken on the decreasing segment.
+    The right side minus ``s`` is convex there, and the principal root is
+    taken on the decreasing segment left of its minimum.  Negative
+    regularization below the square-root domain bound is rejected
+    outright.
     """
     gamma = model.gamma
     spec = model.spectrum
+    if gamma >= 1.0 or spec.truncated:
+        raise DomainError("negative lam via the companion route needs gamma < 1 and a full-mass spectrum")
+    bound = (1.0 - math.sqrt(gamma)) ** 2 * spec.c_lower
+    if lam <= -bound:
+        raise DomainError(
+            f"lam={lam!r} at or below the admissible limit {-bound!r}",
+            c0_effective=bound,
+        )
 
     def G(s: float) -> float:
         denom = spec.h * (1.0 - gamma + gamma * lam * s) + lam
@@ -383,26 +384,11 @@ def _companion_direct(model: ModelSpec, lam: float, config: SolverConfig) -> flo
             raise DomainError(f"companion denominators not positive at s={s!r}, lam={lam!r}")
         return float(np.dot(spec.w, 1.0 / denom)) - s
 
-    if lam > 0.0:
-        lo, hi = expand_bracket(G, max(1.0 / lam, 1.0), config.bracket_factor, config.max_iter)
-    else:
-        # Negative regularization below the square-root domain bound is
-        # rejected outright; inside it, the root sits on the decreasing
-        # segment left of the convex minimum.
-        if gamma >= 1.0 or spec.truncated:
-            raise DomainError("negative lam via the companion route needs gamma < 1 and a full-mass spectrum")
-        bound = (1.0 - math.sqrt(gamma)) ** 2 * spec.c_lower
-        if lam <= -bound:
-            raise DomainError(
-                f"lam={lam!r} at or below the admissible limit {-bound!r}",
-                c0_effective=bound,
-            )
-        cap = float(np.min(((1.0 - gamma) + lam / spec.h) / (-gamma * lam)))
-        s_min = golden_min(G, cap * 1e-12, cap * (1.0 - 1e-12), config.tol, config.max_iter, 1e-300)
-        if G(s_min) > 0.0:
-            raise DomainError(
-                f"no companion solution at lam={lam!r}: beyond the effective edge",
-                c0_effective=bound,
-            )
-        lo, hi = 0.0, s_min
-    return bisect(G, lo, hi, config.tol, config.max_iter, 1e-300)
+    cap = float(np.min(((1.0 - gamma) + lam / spec.h) / (-gamma * lam)))
+    s_min = golden_min(G, cap * 1e-12, cap * (1.0 - 1e-12), _TOL, _MAX_ITER, 1e-300)
+    if G(s_min) > 0.0:
+        raise DomainError(
+            f"no companion solution at lam={lam!r}: beyond the effective edge",
+            c0_effective=bound,
+        )
+    return bisect(G, 0.0, s_min, _TOL, _MAX_ITER, 1e-300)

@@ -139,7 +139,7 @@ class TestExitCodes:
         assert "domain error" in capsys.readouterr().err
 
     def test_solver_error_is_exit_3(self, capsys, monkeypatch) -> None:
-        def boom(model, lam, config=None):
+        def boom(model, lam):
             raise SolverError("forced failure")
 
         monkeypatch.setattr(cli, "solve_m", boom)
@@ -162,9 +162,10 @@ class TestExitCodes:
         ["reproduce", {"spectrum": [[1, 1, 1.0]], "gamma": 2, "grid": [0.5], "mc": {"n": 20, "replicates": 0}}],
         ["lambda-opt", "--gamma", "2", "--spectrum", "pointmass:1,0", "--sigma2", "1"],
         ["lambda-opt", "--gamma", "2", "--spectrum", "pointmass:1,0", "--sigma2", "0"],
+        ["solve-m", "--gamma", "2", "--spectrum", "pointmass:1", "--lambda", "1e300"],
     ], ids=["pointmass-value", "grid-value", "weights-sum", "scenario-gamma", "model-gamma", "weighted-model-gamma",
             "replicates", "ensemble-n", "scenario-mc-n", "scenario-mc-replicates", "zero-signal-noisy",
-            "zero-signal-noiseless"])
+            "zero-signal-noiseless", "huge-lambda"])
     def test_malformed_input_is_a_domain_error(self, capsys, tmp_path, argv) -> None:
         if isinstance(argv[-1], dict):
             (tmp_path / "scenario.json").write_text(json.dumps(argv[-1]))

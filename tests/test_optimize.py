@@ -154,14 +154,15 @@ class TestSearch:
     def test_closed_form_inside_the_domain_is_cross_checked(self, monkeypatch) -> None:
         model = ModelSpec(2.0, 0.4, FLAT)
         wrong = dataclasses.replace(lambda_opt_closed_form(model), lambda_opt=1.0)
-        monkeypatch.setattr(optimize, "lambda_opt_closed_form", lambda model, config: wrong)
+        monkeypatch.setattr(optimize, "lambda_opt_closed_form", lambda model: wrong)
         with pytest.raises(SolverError, match="disagrees with the applicable closed form"):
             lambda_opt_search(model)
 
     @pytest.mark.parametrize("sigma2", [0.0, 1.0])
     def test_zero_signal_has_no_finite_optimum(self, sigma2: float) -> None:
         model = ModelSpec(2.0, sigma2, point_mass(1.0, 0.0))
-        for search in (lambda_opt_search, lambda_opt_closed_form):
+        for search in (lambda_opt_search, lambda_opt_closed_form,
+                       lambda model: monotonicity_sweep(model.spectrum, model.sigma2, [0.5])):
             with pytest.raises(DomainError, match="not finite without signal"):
                 search(model)
 

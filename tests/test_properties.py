@@ -1,10 +1,10 @@
 """Properties of the fixed-point solve and the risk over random spectra.
 
 The reference ``m`` comes from a 40-digit ``mpmath`` bisection that finds
-its own branch edge and brackets.  The ``lambda`` residual is not asserted:
-it is ill-conditioned when ``1/m`` is much larger than ``lambda``, while
-``m`` itself stays accurate.  The optimum search is checked against the
-scalar search of ``tests/oracles.py``.
+its own branch edge and brackets.  The ``lambda`` residual is asserted
+relative to the terms that cancel in it, ``max(|lambda|, 1/|m|)``.  The
+optimum search is checked against the scalar search of
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -102,6 +102,7 @@ def test_solve_m_matches_high_precision_reference(problem) -> None:
     sol = solve_m(model, lam)
     m_ref = float(reference([mp.mpf(v) for v in spec.h], [mp.mpf(v) for v in spec.w], gamma, mp.mpf(lam)))
     assert abs(sol.m - m_ref) <= 1e-11 * abs(m_ref)
+    assert sol.residual <= 1e-10
     assert sol.m_prime > 0.0
     ev = asymptotic_risk(model, lam)
     assert abs(ev.bias + ev.variance - ev.total) <= 1e-12 * ev.total

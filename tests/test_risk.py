@@ -19,6 +19,7 @@ from ridgelab import (
     pcr_curve,
     pcr_risk,
     point_mass,
+    recipe_spectrum,
     risk_curve,
     risk_derivative,
     solve_m,
@@ -26,7 +27,7 @@ from ridgelab import (
     weighted_risk,
 )
 
-from oracles import alpha_path_state, alternative_total_risk
+from oracles import alpha_path_state, alternative_total_risk, assert_pcr_forms_agree
 
 ISO_QUARTER_NOISE = ModelSpec(2.0, 0.25, point_mass(1.0))
 ALIGNED_TWO_POINT = JointSpectrum([(1.0, 1.0, 0.75), (5.0, 5.0, 0.25)])
@@ -186,6 +187,16 @@ class TestPcr:
             assert pcr_risk(base, theta).total == pytest.approx(
                 pcr_risk(flipped, theta).total, rel=1e-12
             )
+
+    @pytest.mark.parametrize("model, thetas", [
+        *((ModelSpec.with_snr(5.0, 50.0, recipe_spectrum(key)), (0.21, 0.3, 0.5, 0.75, 1.0))
+          for key in ("fig7-aligned", "fig7-misaligned", "fig7-other")),
+        (ModelSpec(2.0, 0.05, JointSpectrum([(2.0, 2.0 / 3.0, 0.2), (0.2, 1.0 / 15.0, 0.2), (0.2, 11.0 / 30.0, 0.6)])),
+         (0.55, 0.8, 1.0)),
+    ], ids=["fig7-aligned", "fig7-misaligned", "fig7-other", "tied-levels"])
+    def test_grouped_form_matches_the_display_form(self, model: ModelSpec, thetas: tuple) -> None:
+        for theta in thetas:
+            assert_pcr_forms_agree(model, theta)
 
     def test_curve_matches_pointwise(self) -> None:
         model = ModelSpec(2.0, 0.1, ALIGNED_TWO_POINT)

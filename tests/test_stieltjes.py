@@ -10,7 +10,6 @@ from ridgelab import (
     JointSpectrum,
     ModelSpec,
     RegimeError,
-    SolverConfig,
     SolverError,
     discretize,
     find_edge,
@@ -99,8 +98,9 @@ class TestSolveM:
 
     def test_nonfinite_lambda_rejected(self) -> None:
         model = ModelSpec(2.0, 0.0, point_mass(1.0))
-        with pytest.raises(DomainError):
-            solve_m(model, math.inf)
+        for lam in (math.inf, 1e300):  # 1e300: 1/m^2 in the identity for m' overflows
+            with pytest.raises(DomainError):
+                solve_m(model, lam)
 
 
 class TestSolveMGrid:
@@ -110,6 +110,14 @@ class TestSolveMGrid:
         assert m == pytest.approx([isotropic_root(2.0, lam) for lam in lams], rel=1e-13)
         m = solve_m_grid(ModelSpec(0.5, 0.0, point_mass(1.0)), [0.5, 5.0])
         assert m == pytest.approx([isotropic_root(0.5, lam) for lam in (0.5, 5.0)], rel=1e-13)
+
+    @pytest.mark.parametrize("gamma", [2.0, 0.6])
+    def test_scalar_solve_is_its_one_row_grid_solve(self, gamma: float) -> None:
+        model = ModelSpec(gamma, 0.0, JointSpectrum([(1.0, 1.0, 0.5), (3.0, 1.0, 0.5)]))
+        for lam in (-0.02, 0.0, 1e-9, 0.3, 7.0, 1e150):
+            if lam <= 0.0 and gamma < 1.0:
+                continue  # the companion route's domain
+            assert solve_m(model, lam).m == solve_m_grid(model, [lam])[0]
 
     @pytest.mark.parametrize("gamma, lam", [(2.0, -0.5), (0.5, 0.0), (0.5, -0.01)])
     def test_outside_the_domain(self, gamma: float, lam: float) -> None:
@@ -216,19 +224,3 @@ class TestSecondDerivative:
         )
         # m_prime is -dm/dlambda, so its lambda-derivative is minus the curvature
         assert second_derivative(model, sol) == pytest.approx(-fd, rel=1e-5)
-
-
-class TestSolverConfig:
-    def test_validation(self) -> None:
-        with pytest.raises(ValueError):
-            SolverConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            SolverConfig(bracket_factor=1.0)
-
-    def test_loose_tolerance_threads_through(self) -> None:
-        model = ModelSpec(2.0, 0.0, point_mass(1.0))
-        loose = solve_m(model, 1.0, SolverConfig(tol=1e-4))
-        tight = solve_m(model, 1.0)
-        assert abs(loose.m - tight.m) < 1e-3
