@@ -9,6 +9,13 @@ estimator on sampled data and evaluates it on the analytic test metric;
 it is slower and noisier but shares no algebra with the primary, which is
 the point.
 
+Each design draw decomposes the smaller side of its whitened Gram: the
+n x n ``X X'`` when ``p > n``, the p x p ``X' X`` otherwise.  The risk and
+the fit then live in the r-dimensional row space of the live right
+singular vectors ``V``; the null projector ``P0 = I - V V'`` contributes to
+the bias in closed form, so no p x p matrix is formed when ``p > n``.
+Truncated regression works on the rows of the kept coordinates alone.
+
 All randomness flows through ``numpy.random.default_rng`` seeded with
 ``(master_seed, stream)`` pairs, so every result is bit-identical across
 runs for a fixed configuration.
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RidgelabError
+from .errors import DomainError, RidgelabError
 from .spectra import JointSpectrum, WeightedSpectrum
 
 _NULLSPACE_CUTOFF = 1e-10
@@ -141,41 +148,69 @@ def sample_design(ens: MatrixEnsemble, rng: np.random.Generator) -> np.ndarray:
 
 
 class _EigState:
-    """Per-draw eigendecomposition shared across a regularization grid."""
+    """Per-draw spectral decomposition shared across a regularization grid.
+
+    Decomposes the smaller side of the whitened Gram: ``xw xw'`` (n x n)
+    when ``p > n`` and ``xw' xw`` (p x p) otherwise.  It keeps the live
+    eigenvalues ``lams`` (above ``_NULLSPACE_CUTOFF`` times the largest)
+    and the p x r matrix ``v`` of their right singular vectors, which is
+    ``xw' u / sqrt(lams)`` when the n x n side is decomposed, plus the
+    r x r congruences ``k1 = v' A v`` and ``k2 = v' B v`` with
+    ``A = diag(d_xw)`` and ``B = diag(d_wb)``.
+
+    The null projector ``P0 = I - v v'`` is never formed.  It enters the
+    bias through two penalty-free terms, built from ``k1``, ``k2`` and
+    ``diag(v' A B v) = (v * v)' (a * b)``: ``t0 = tr(A P0 B P0)`` and
+    ``cross = diag(v' A P0 B v)``.  Both vanish when ``r = p``.
+    """
 
     def __init__(self, ens: MatrixEnsemble, x: np.ndarray):
         xw = x / np.sqrt(ens.d_w)
-        gram = xw.T @ xw
-        lams, q = np.linalg.eigh(gram)
+        wide = ens.p > ens.n
+        lams, vecs = np.linalg.eigh(xw @ xw.T if wide else xw.T @ xw)
+        self.scale = max(float(lams[-1]), 1e-300)
+        # eigh sorts ascending, so the null eigenvalues come first
+        null = int(np.count_nonzero(lams <= _NULLSPACE_CUTOFF * self.scale))
+        lams, vecs = lams[null:], vecs[:, null:]
+        v = (xw.T @ vecs) / np.sqrt(lams) if wide else vecs
+        k1 = v.T @ (ens.d_xw[:, None] * v)
+        k2 = v.T @ (ens.d_wb[:, None] * v)
         self.lams = lams
-        self.q = q
+        self.v = v
         self.xw = xw
-        self.null_mask = lams <= _NULLSPACE_CUTOFF * max(float(lams[-1]), 1e-300)
-        # congruence images of the two population matrices in the eigenbasis
-        g1 = q.T @ (ens.d_xw[:, None] * q)
-        g2 = q.T @ (ens.d_wb[:, None] * q)
-        self.g1_diag = np.diag(g1).copy()
-        self.h12 = g1 * g2
+        self.k1_diag = np.diag(k1).copy()
+        self.k12 = k1 * k2
+        self.t0 = 0.0
+        self.cross = np.zeros(lams.size)
+        if lams.size < ens.p:  # otherwise P0 = 0
+            ab = ens.d_xw * ens.d_wb
+            vab = (v * v).T @ ab
+            self.cross = vab - self.k12.sum(axis=1)
+            self.t0 = float(ab.sum()) - 2.0 * float(vab.sum()) + float(self.k12.sum())
         self.n = ens.n
 
+    def shift(self, lam: float) -> np.ndarray:
+        """``lams + lam``; IllConditionedDraw when one is within the guard band."""
+        denom = self.lams + lam
+        if np.any(np.abs(denom) <= _DROP_GUARD * self.scale):
+            raise IllConditionedDraw(f"eigenvalue within guard distance of -lam={-lam!r}")
+        return denom
+
     def risk_parts(self, lam: float, sigma2: float) -> tuple:
-        """Exact conditional (variance, bias) at one regularization value."""
-        lams = self.lams
+        """Exact conditional (variance, bias) at one regularization value.
+
+        With ``b = lam / (lams + lam)`` the bias is
+        ``(t0 + 2 cross . b + b' (k1 * k2) b) / n``.
+        """
         if lam == 0.0:
-            inv = np.where(self.null_mask, 0.0, 1.0 / np.where(self.null_mask, 1.0, lams))
-            v = inv
-            b = np.where(self.null_mask, 1.0, 0.0)
+            var_w = 1.0 / self.lams
+            b = np.zeros(self.lams.size)
         else:
-            denom = lams + lam
-            live = ~self.null_mask
-            if np.any(np.abs(denom[live]) <= _DROP_GUARD * max(float(lams[-1]), 1e-300)):
-                raise IllConditionedDraw(
-                    f"eigenvalue within guard distance of -lam={-lam!r}"
-                )
-            v = np.where(self.null_mask, 0.0, lams) / denom**2
+            denom = self.shift(lam)
+            var_w = self.lams / denom**2
             b = lam / denom
-        variance = sigma2 * (1.0 + float(np.dot(self.g1_diag, v)) / self.n)
-        bias = float(b @ self.h12 @ b) / self.n
+        variance = sigma2 * (1.0 + float(np.dot(self.k1_diag, var_w)) / self.n)
+        bias = (self.t0 + 2.0 * float(np.dot(self.cross, b)) + float(b @ self.k12 @ b)) / self.n
         return variance, bias
 
 
@@ -252,16 +287,9 @@ def _fit_penalized(state: _EigState, ens: MatrixEnsemble, y: np.ndarray, lam: fl
     At ``lam = 0`` this is the minimum-penalty-norm interpolator (null
     directions get zero coefficient); elsewhere the usual shifted inverse.
     """
-    rhs = state.q.T @ (state.xw.T @ y)
-    if lam == 0.0:
-        coef = np.where(state.null_mask, 0.0, rhs / np.where(state.null_mask, 1.0, state.lams))
-    else:
-        denom = state.lams + lam
-        live = ~state.null_mask
-        if np.any(np.abs(denom[live]) <= _DROP_GUARD * max(float(state.lams[-1]), 1e-300)):
-            raise IllConditionedDraw(f"eigenvalue within guard distance of -lam={-lam!r}")
-        coef = rhs / denom
-    return (state.q @ coef) / np.sqrt(ens.d_w)
+    rhs = state.v.T @ (state.xw.T @ y)
+    coef = rhs / (state.lams if lam == 0.0 else state.shift(lam))
+    return (state.v @ coef) / np.sqrt(ens.d_w)
 
 
 def estimator_risk_empirical(
@@ -303,31 +331,30 @@ def pcr_estimator_risk(
     Keeps the ``ceil(theta * p)`` coordinates with the largest population
     eigenvalues (ties broken by index), fits ridgeless regression on
     them, and integrates coefficients and noise analytically given the
-    design.  Returns ``(mean, se)``.
+    design.  Returns ``(mean, se)``; DomainError unless ``0 < theta <= 1``.
     """
     if not (0.0 < theta <= 1.0):
-        raise ValueError(f"theta must lie in (0, 1], got {theta!r}")
+        raise DomainError(f"theta must lie in (0, 1], got {theta!r}")
     k = math.ceil(theta * ens.p)
     keep = np.argsort(-ens.d_x, kind="stable")[:k]
     sx = ens.d_x / ens.n
+    # coordinates outside ``keep`` are fitted as zero: their error is the
+    # coefficient itself
+    untouched = float(np.dot(np.delete(sx, keep), np.delete(ens.d_beta, keep)))
     vals = []
     for rep in range(config.replicates):
         rng = replicate_rng(config.master_seed, rep)
         x = sample_design(ens, rng)
-        xk = x[:, keep]
-        bk = np.linalg.pinv(xk, rcond=_NULLSPACE_CUTOFF)
-        # w = I - M where M maps true coefficients to the kept-coordinate fit
-        w = np.zeros((ens.p, ens.p))
-        w[keep] = -bk @ x
-        w[np.arange(ens.p), np.arange(ens.p)] += 1.0
-        nmap = np.zeros((ens.p, ens.n))
-        nmap[keep] = bk
+        bk = np.linalg.pinv(x[:, keep], rcond=_NULLSPACE_CUTOFF)
+        # kept rows of M - I, where M maps true coefficients to the fit
+        resid = bk @ x
+        resid[np.arange(k), keep] -= 1.0
         if config.prior == "gaussian_beta":
-            bias = float(np.dot(sx, (w**2) @ ens.d_beta))
+            kept = (resid**2) @ ens.d_beta
         else:
-            delta = w @ np.sqrt(ens.d_beta)
-            bias = float(np.dot(delta * sx, delta))
-        noise_term = sigma2 * float(np.dot(sx, (nmap**2).sum(axis=1)))
+            kept = (resid @ np.sqrt(ens.d_beta)) ** 2
+        bias = untouched + float(np.dot(sx[keep], kept))
+        noise_term = sigma2 * float(np.dot(sx[keep], (bk**2).sum(axis=1)))
         vals.append(sigma2 + bias + noise_term)
     arr = np.asarray(vals)
     se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else math.inf

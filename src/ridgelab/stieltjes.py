@@ -31,6 +31,7 @@ beyond.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,11 +41,9 @@ from .errors import DomainError, RegimeError, SolverError
 from .spectra import ModelSpec, truncate_top
 
 
-# bisections stop at 1e-12 relative; every bracketing or bisection loop
-# gives up after 200 steps, and bracket hunts grow by a factor of 2
+# bisections stop at 1e-12 relative and give up after 200 steps
 _TOL = 1e-12
 _MAX_ITER = 200
-_BRACKET_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -98,21 +97,6 @@ def bisect(f, lo: float, hi: float, rtol: float, max_iter: int, floor: float = 0
         if hi - lo <= rtol * max(hi, -lo, floor):
             return 0.5 * (lo + hi)
     raise SolverError("bisection did not reach tolerance", {"lo": lo, "hi": hi, "max_iter": max_iter})
-
-
-def expand_bracket(f, x: float, factor: float, max_iter: int) -> tuple:
-    """First ``x * factor**k`` (``k >= 0``) at which ``f`` is negative.
-
-    Returns ``(previous, found)`` where ``previous`` is the point tried
-    just before (0 when ``k = 0``); raises SolverError after ``max_iter``
-    tries.
-    """
-    prev = 0.0
-    for _ in range(max_iter):
-        if f(x) < 0.0:
-            return prev, x
-        prev, x = x, x * factor
-    raise SolverError("failed to bracket a sign change", {"x": x, "factor": factor, "max_iter": max_iter})
 
 
 def golden_min(f, a: float, b: float, rtol: float, max_iter: int, floor: float = 0.0) -> float:
@@ -170,11 +154,13 @@ def _mprime_denom(model: ModelSpec, m: float) -> float:
 def find_edge(model: ModelSpec) -> EdgeInfo:
     """Locate the endpoint of the principal branch.
 
-    Solves ``1/m^2 = gamma * E[h^2/(1+h m)^2]`` by bisection.  Requires
-    ``gamma * P(h > 0) > 1``; below that the equation has no positive root
-    and there is no negative-ridge domain to map out.  Results are
-    memoized per model since every solve at the same aspect
-    ratio shares the branch endpoint.
+    Solves ``1/m^2 = gamma * E[h^2/(1+h m)^2]`` by bisection, from a
+    bracket set by the largest and the smallest positive atom and first
+    narrowed in ``log m``, so atoms hundreds of decades apart (``h = 1e-300``
+    beside ``h = 1``) still bracket.  Requires ``gamma * P(h > 0) > 1``;
+    below that the equation has no positive root and there is no
+    negative-ridge domain to map out.  Results are memoized per model
+    since every solve at the same aspect ratio shares the branch endpoint.
     """
     spec = model.spectrum
     gp = model.gamma * spec.positive_mass()
@@ -184,11 +170,19 @@ def find_edge(model: ModelSpec) -> EdgeInfo:
         )
 
     def gap(m: float) -> float:  # 1 - gamma*E[(hm)^2/(1+hm)^2], positive inside the branch
-        return _mprime_denom(model, m) * m * m
+        t = spec.h / (spec.h + 1.0 / m)  # hm/(1+hm), finite for every m > 0
+        return 1.0 - model.gamma * float(np.dot(spec.w, t * t))
 
-    lo, hi = expand_bracket(gap, 1.0 / spec.c_lower, _BRACKET_FACTOR, _MAX_ITER)
-    if lo == 0.0:
-        lo = hi / _BRACKET_FACTOR**_MAX_ITER
+    # gap > 0 at lo, where every term is below (h m)^2 <= 1/gamma; gap < 0 at
+    # hi, where every positive atom has hm/(1+hm) above 1/sqrt(gp)
+    lo = 1.0 / float(spec.h.max()) / math.sqrt(model.gamma)
+    hi = min(2.0 / spec.c_lower / (math.sqrt(gp) - 1.0), sys.float_info.max)
+    while hi > 2.0 * lo:  # the bracket may span hundreds of decades: halve it in log m first
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
     m_edge = bisect(gap, lo, hi, _TOL, _MAX_ITER)
     c0_eff = -lambda_of_m(model, m_edge)
     c0_bound = (math.sqrt(model.gamma) - 1.0) ** 2 * spec.c_lower

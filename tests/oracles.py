@@ -8,29 +8,48 @@ import numpy as np
 
 from ridgelab import (
     DomainError,
+    IllConditionedDraw,
+    MatrixEnsemble,
     ModelSpec,
+    MonteCarloConfig,
     SolverError,
     asymptotic_risk,
     interpolate_penalty,
     lambda_opt_closed_form,
     pcr_risk,
     regime_guard,
+    replicate_rng,
     risk_derivative,
+    sample_design,
     solve_m,
     solve_m_theta,
     weighted_model,
 )
+from ridgelab.montecarlo import _DROP_GUARD, _NULLSPACE_CUTOFF
 from ridgelab.optimize import _GOLDEN_FLOOR, _GOLDEN_RTOL, _TIE_RTOL, _ZERO_ATOL, LambdaOptResult, _search_grid
 from ridgelab.stieltjes import (
-    _BRACKET_FACTOR,
     _MAX_ITER,
     _TOL,
     StieltjesSolution,
     _companion_direct,
     bisect,
-    expand_bracket,
     golden_min,
 )
+
+
+def expand_bracket(f, x: float, factor: float, max_iter: int) -> tuple:
+    """First ``x * factor**k`` (``k >= 0``) at which ``f`` is negative.
+
+    Returns ``(previous, found)`` where ``previous`` is the point tried
+    just before (0 when ``k = 0``); raises SolverError after ``max_iter``
+    tries.
+    """
+    prev = 0.0
+    for _ in range(max_iter):
+        if f(x) < 0.0:
+            return prev, x
+        prev, x = x, x * factor
+    raise SolverError("failed to bracket a sign change", {"x": x, "factor": factor, "max_iter": max_iter})
 
 
 def second_derivative(model: ModelSpec, sol: StieltjesSolution) -> float:
@@ -77,7 +96,7 @@ def solve_companion(model: ModelSpec, lam: float) -> CompanionSolution:
         def G(s: float) -> float:
             return float(np.dot(spec.w, 1.0 / (spec.h * (1.0 - gamma + gamma * lam * s) + lam))) - s
 
-        lo, hi = expand_bracket(G, max(1.0 / lam, 1.0), _BRACKET_FACTOR, _MAX_ITER)
+        lo, hi = expand_bracket(G, max(1.0 / lam, 1.0), 2.0, _MAX_ITER)
         s = bisect(G, lo, hi, _TOL, _MAX_ITER, 1e-300)
         m = (1.0 - gamma) / lam + gamma * s
     rhs = float(np.dot(spec.w, 1.0 / (spec.h * (1.0 - gamma + gamma * lam * s) + lam)))
@@ -206,3 +225,101 @@ def assert_pcr_forms_agree(model: ModelSpec, theta: float) -> None:
     pref = sol.m_prime / sol.m**2
     display = pref * (display_form_numerator(model.spectrum, theta, sol.m, model.gamma) + model.sigma2)
     assert abs(total - display) <= 1e-10 * max(1.0, abs(total)), (theta, total, display)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo: the full p x p eigenbasis algebra, the reference for the
+# package's decomposition of the smaller Gram side
+# ---------------------------------------------------------------------------
+
+
+class DenseEigState:
+    """Per-draw eigendecomposition of the p x p Gram shared across a
+    regularization grid, with the two p x p congruences formed densely."""
+
+    def __init__(self, ens: MatrixEnsemble, x: np.ndarray):
+        xw = x / np.sqrt(ens.d_w)
+        gram = xw.T @ xw
+        lams, q = np.linalg.eigh(gram)
+        self.lams = lams
+        self.q = q
+        self.xw = xw
+        self.null_mask = lams <= _NULLSPACE_CUTOFF * max(float(lams[-1]), 1e-300)
+        # congruence images of the two population matrices in the eigenbasis
+        g1 = q.T @ (ens.d_xw[:, None] * q)
+        g2 = q.T @ (ens.d_wb[:, None] * q)
+        self.g1_diag = np.diag(g1).copy()
+        self.h12 = g1 * g2
+        self.n = ens.n
+
+    def risk_parts(self, lam: float, sigma2: float) -> tuple:
+        """Exact conditional (variance, bias) at one regularization value."""
+        lams = self.lams
+        if lam == 0.0:
+            inv = np.where(self.null_mask, 0.0, 1.0 / np.where(self.null_mask, 1.0, lams))
+            v = inv
+            b = np.where(self.null_mask, 1.0, 0.0)
+        else:
+            denom = lams + lam
+            live = ~self.null_mask
+            if np.any(np.abs(denom[live]) <= _DROP_GUARD * max(float(lams[-1]), 1e-300)):
+                raise IllConditionedDraw(
+                    f"eigenvalue within guard distance of -lam={-lam!r}"
+                )
+            v = np.where(self.null_mask, 0.0, lams) / denom**2
+            b = lam / denom
+        variance = sigma2 * (1.0 + float(np.dot(self.g1_diag, v)) / self.n)
+        bias = float(b @ self.h12 @ b) / self.n
+        return variance, bias
+
+
+def dense_fit_penalized(state: DenseEigState, ens: MatrixEnsemble, y: np.ndarray, lam: float) -> np.ndarray:
+    """Solve the penalized least squares in the whitened basis.
+
+    At ``lam = 0`` this is the minimum-penalty-norm interpolator (null
+    directions get zero coefficient); elsewhere the usual shifted inverse.
+    """
+    rhs = state.q.T @ (state.xw.T @ y)
+    if lam == 0.0:
+        coef = np.where(state.null_mask, 0.0, rhs / np.where(state.null_mask, 1.0, state.lams))
+    else:
+        denom = state.lams + lam
+        live = ~state.null_mask
+        if np.any(np.abs(denom[live]) <= _DROP_GUARD * max(float(state.lams[-1]), 1e-300)):
+            raise IllConditionedDraw(f"eigenvalue within guard distance of -lam={-lam!r}")
+        coef = rhs / denom
+    return (state.q @ coef) / np.sqrt(ens.d_w)
+
+
+def dense_pcr_estimator_risk(
+    ens: MatrixEnsemble, theta: float, sigma2: float, config: MonteCarloConfig
+) -> tuple:
+    """Conditional risk of truncated regression, averaged over designs,
+    with the dense p x p residual map ``w`` and p x n noise map."""
+    if not (0.0 < theta <= 1.0):
+        raise ValueError(f"theta must lie in (0, 1], got {theta!r}")
+    k = math.ceil(theta * ens.p)
+    keep = np.argsort(-ens.d_x, kind="stable")[:k]
+    sx = ens.d_x / ens.n
+    vals = []
+    for rep in range(config.replicates):
+        rng = replicate_rng(config.master_seed, rep)
+        x = sample_design(ens, rng)
+        xk = x[:, keep]
+        bk = np.linalg.pinv(xk, rcond=_NULLSPACE_CUTOFF)
+        # w = I - M where M maps true coefficients to the kept-coordinate fit
+        w = np.zeros((ens.p, ens.p))
+        w[keep] = -bk @ x
+        w[np.arange(ens.p), np.arange(ens.p)] += 1.0
+        nmap = np.zeros((ens.p, ens.n))
+        nmap[keep] = bk
+        if config.prior == "gaussian_beta":
+            bias = float(np.dot(sx, (w**2) @ ens.d_beta))
+        else:
+            delta = w @ np.sqrt(ens.d_beta)
+            bias = float(np.dot(delta * sx, delta))
+        noise_term = sigma2 * float(np.dot(sx, (nmap**2).sum(axis=1)))
+        vals.append(sigma2 + bias + noise_term)
+    arr = np.asarray(vals)
+    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else math.inf
+    return float(arr.mean()), se

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ridgelab import (
+    DomainError,
     IllConditionedDraw,
     JointSpectrum,
     MatrixEnsemble,
@@ -23,9 +24,14 @@ from ridgelab import (
     sample_design,
     simulate,
 )
+from ridgelab import montecarlo
 from ridgelab.montecarlo import proportional_counts
 
+from oracles import DenseEigState, dense_fit_penalized, dense_pcr_estimator_risk
+
 TWO_POINT = JointSpectrum([(1.0, 1.0, 0.75), (5.0, 5.0, 0.25)])
+# (s, v, r, w) atoms: penalty weights d_w = s / r differ between the atoms
+WEIGHTED = WeightedSpectrum([(1.0, 2.0, 3.0, 0.5), (4.0, 0.5, 1.0, 0.5)])
 
 
 class TestProportionalCounts:
@@ -221,5 +227,97 @@ class TestPcrEstimator:
 
     def test_theta_validation(self) -> None:
         ens = MatrixEnsemble.from_joint(TWO_POINT, 10, 20)
-        with pytest.raises(ValueError):
-            pcr_estimator_risk(ens, 0.0, 0.1, MonteCarloConfig(replicates=1))
+        for theta in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                pcr_estimator_risk(ens, theta, 0.1, MonteCarloConfig(replicates=1))
+
+
+def _ensemble(shape: tuple, weighted: bool) -> MatrixEnsemble:
+    n, p = shape
+    if weighted:
+        return MatrixEnsemble.from_weighted(WEIGHTED, n, p)
+    return MatrixEnsemble.from_joint(TWO_POINT, n, p)
+
+
+def _penalties(dense: DenseEigState) -> list:
+    """One penalty per case: inside the guard band, negative admissible, 0, positive."""
+    live = np.sort(dense.lams[~dense.null_mask])
+    return [-float(live[live.size // 2]), -0.5 * float(live[0]), 0.0, 0.5]
+
+
+def _or_none(fn, *args):
+    try:
+        return fn(*args)
+    except IllConditionedDraw:
+        return None
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["joint", "weighted"])
+@pytest.mark.parametrize("shape", [(40, 80), (80, 40), (50, 50)], ids=["wide", "tall", "square"])
+class TestMatchesDenseEigenbasis:
+    """Per replicate, the smaller-Gram algebra against the p x p eigenbasis."""
+
+    def test_conditional_risk(self, shape, weighted) -> None:
+        ens = _ensemble(shape, weighted)
+        sigma2 = 0.25
+        for seed in range(3):
+            x = sample_design(ens, replicate_rng(seed, 0))
+            dense = DenseEigState(ens, x)
+            lams = _penalties(dense)
+            got = conditional_risk_curve(ens, lams, sigma2, x)
+            want = [_or_none(dense.risk_parts, lam, sigma2) for lam in lams]
+            assert [g is None for g in got] == [True, False, False, False]
+            assert [w is None for w in want] == [True, False, False, False]
+            for (var, bias), (var_ref, bias_ref) in zip(got[1:], want[1:]):
+                total = var_ref + bias_ref
+                assert abs(var - var_ref) <= 1e-12 * total
+                assert abs(bias - bias_ref) <= 1e-12 * total
+
+    @pytest.mark.parametrize("prior", ["gaussian_beta", "fixed_beta"])
+    def test_fitted_risk(self, shape, weighted, prior) -> None:
+        ens = _ensemble(shape, weighted)
+        sigma2 = 0.25
+        for seed in range(3):
+            rng = replicate_rng(seed, 0)
+            x = sample_design(ens, rng)
+            beta = np.sqrt(ens.d_beta)
+            if prior == "gaussian_beta":
+                beta = beta * rng.standard_normal(ens.p)
+            y = x @ beta + math.sqrt(sigma2) * rng.standard_normal(ens.n)
+            dense, state = DenseEigState(ens, x), montecarlo._EigState(ens, x)
+            for lam in _penalties(dense):
+                got = _or_none(montecarlo._fit_penalized, state, ens, y, lam)
+                want = _or_none(dense_fit_penalized, dense, ens, y, lam)
+                assert (got is None) == (want is None)
+                if got is None:
+                    continue
+                risk, risk_ref = (sigma2 + float(np.dot((beta - b) * ens.d_x, beta - b)) / ens.n
+                                  for b in (got, want))
+                assert abs(risk - risk_ref) <= 1e-12 * risk_ref
+
+    @pytest.mark.parametrize("prior", ["gaussian_beta", "fixed_beta"])
+    def test_pcr_risk(self, shape, weighted, prior) -> None:
+        ens = _ensemble(shape, weighted)
+        for seed in range(3):
+            config = MonteCarloConfig(replicates=1, master_seed=seed, prior=prior)
+            for theta in (0.3, 0.5, 1.0):
+                got, _ = pcr_estimator_risk(ens, theta, 0.25, config)
+                want, _ = dense_pcr_estimator_risk(ens, theta, 0.25, config)
+                assert abs(got - want) <= 1e-12 * want
+
+
+def test_replicates_decompose_the_smaller_gram(monkeypatch) -> None:
+    # at p = 2n every replicate decomposes the n x n Gram, never a p x p one
+    shapes = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    ens = MatrixEnsemble.from_joint(TWO_POINT, 30, 60)
+    config = MonteCarloConfig(replicates=2, master_seed=5)
+    simulate(ens, [0.0, 0.5], 0.25, config)
+    estimator_risk_empirical(ens, 0.5, 0.25, config)
+    assert shapes == [(30, 30)] * 4

@@ -148,6 +148,24 @@ class TestFindEdge:
         with pytest.raises(RegimeError):
             find_edge(ModelSpec(0.8, 0.0, point_mass(1.0)))
 
+    @pytest.mark.parametrize(
+        ("atoms", "gamma", "m_edge"),
+        [
+            # the h = 1 atom sets the edge: 2 (m/(1+m))^2 = 1
+            ([(1e-200, 1.0, 0.5), (1.0, 1.0, 0.5)], 4.0, 1.0 / (math.sqrt(2.0) - 1.0)),
+            ([(1e-300, 1.0, 0.5), (1.0, 1.0, 0.5)], 4.0, 1.0 / (math.sqrt(2.0) - 1.0)),
+            # nine tenths of the mass at h = 1e-100 put the edge at h m = 2
+            ([(1e-100, 1.0, 0.9), (1.0, 1.0, 0.1)], 2.0, 2e100),
+        ],
+        ids=["tiny-1e-200", "tiny-1e-300", "mass-on-1e-100"],
+    )
+    def test_atoms_decades_apart(self, atoms, gamma: float, m_edge: float) -> None:
+        spec = JointSpectrum(atoms)
+        edge = find_edge(ModelSpec(gamma, 0.0, spec))
+        assert edge.m_edge == pytest.approx(m_edge, rel=1e-9)
+        t = spec.h * edge.m_edge / (1.0 + spec.h * edge.m_edge)
+        assert gamma * float(np.dot(spec.w, t**2)) == pytest.approx(1.0, rel=1e-10)
+
 
 class TestSolveMTheta:
     def test_single_atom_closed_form(self) -> None:
