@@ -31,7 +31,7 @@ from .recipes import (
     recipe_spectrum,
     reproduce_table,
 )
-from .risk import asymptotic_risk, pcr_risk, weighted_model
+from .risk import asymptotic_risk, pcr_curve, pcr_risk, risk_curve, weighted_model
 from .spectra import JointSpectrum, ModelSpec, WeightedSpectrum, point_mass, spectrum_from_json
 from .stieltjes import solve_m
 
@@ -155,20 +155,18 @@ def _norm_scale(model: ModelSpec) -> float:
     return model.gamma * model.spectrum.e_gh()
 
 
-def _curve_rows(axis: str, evaluate, model: ModelSpec, grid) -> tuple:
-    """Risk table over ``grid``.  A point outside the admissible domain
-    gets a note instead of numbers: ``regime-boundary`` for a RegimeError,
-    ``outside-domain`` for any other DomainError."""
+def _curve_rows(axis: str, curve, model: ModelSpec, grid) -> tuple:
+    """Risk table of ``curve(model, grid)``.  A point outside the admissible
+    domain gets a note instead of numbers: ``regime-boundary`` for a
+    RegimeError, ``outside-domain`` for any other DomainError."""
     scale = _norm_scale(model)
     rows = []
-    for x in grid:
-        try:
-            ev = evaluate(model, x)
-        except DomainError as exc:
-            note = "regime-boundary" if isinstance(exc, RegimeError) else "outside-domain"
+    for x, ev in zip(grid, curve(model, grid)):
+        if isinstance(ev, DomainError):
+            note = "regime-boundary" if isinstance(ev, RegimeError) else "outside-domain"
             rows.append((x, "", "", "", "", note))
-            continue
-        rows.append((x, ev.total, ev.bias, ev.variance, ev.total / scale, ""))
+        else:
+            rows.append((x, ev.total, ev.bias, ev.variance, ev.total / scale, ""))
     return [axis, "total", "bias", "variance", "normalized_risk", "note"], rows
 
 
@@ -192,7 +190,7 @@ def _cmd_solve_m(args):
 
 def _cmd_risk_curve(args):
     model = _model(args, _resolve_spectrum(args))
-    return _curve_rows("lambda", asymptotic_risk, model, _parse_grid(args.lambda_grid))
+    return _curve_rows("lambda", risk_curve, model, _parse_grid(args.lambda_grid))
 
 
 def _cmd_lambda_opt(args):
@@ -214,7 +212,7 @@ def _cmd_lambda_opt(args):
 
 def _cmd_pcr_curve(args):
     model = _model(args, _resolve_spectrum(args))
-    return _curve_rows("theta", pcr_risk, model, _parse_grid(args.theta_grid))
+    return _curve_rows("theta", pcr_curve, model, _parse_grid(args.theta_grid))
 
 
 def _cmd_weight_compare(args):
@@ -243,10 +241,11 @@ def _cmd_simulate(args):
     mc_rows = simulate(ens, lams, model.sigma2, config)
     columns = ["lambda", "mc_mean", "mc_se", "theory", "rel_err", "dropped_replicates"]
     rows = []
-    for rec in mc_rows:
-        theory = asymptotic_risk(model, rec["lam"]).total
-        rel = abs(rec["mc_mean"] - theory) / max(abs(theory), 1e-300)
-        rows.append((rec["lam"], rec["mc_mean"], rec["mc_se"], theory, rel, float(rec["dropped"])))
+    for rec, ev in zip(mc_rows, risk_curve(model, lams)):
+        if isinstance(ev, DomainError):
+            raise ev
+        rel = abs(rec["mc_mean"] - ev.total) / max(abs(ev.total), 1e-300)
+        rows.append((rec["lam"], rec["mc_mean"], rec["mc_se"], ev.total, rel, float(rec["dropped"])))
     return columns, rows
 
 
@@ -284,7 +283,7 @@ def _run_scenario(path: str):
     mc = doc.get("mc")
     if mc and (sweep != "lambda" or not isinstance(spec, JointSpectrum)):
         raise DomainError(f"scenario {path!r}: an mc block needs a lambda sweep on a joint (h, g) spectrum")
-    columns, rows = _curve_rows(sweep, asymptotic_risk if sweep == "lambda" else pcr_risk, model, grid)
+    columns, rows = _curve_rows(sweep, risk_curve if sweep == "lambda" else pcr_curve, model, grid)
     if mc:
         if "n" not in mc:
             raise DomainError(f"scenario {path!r} mc block is missing required entry 'n'")

@@ -247,9 +247,9 @@ def lambda_opt_search(model: ModelSpec) -> LambdaOptResult:
     argmin over the roots (plus the exact ridgeless endpoint in the
     underparameterized regime).  Falls back to golden section on the risk
     when no sign change is bracketed.  When a closed form applies it is
-    returned as is if it lies outside the search domain; inside, the
-    search result is cross-checked against it and a disagreement beyond
-    1e-6 raises SolverError.
+    the result: as is if it lies outside the search domain; inside, once
+    the search agrees with it to 1e-6 (a disagreement raises SolverError),
+    so a flat noiseless profile gets exactly 0, not the search's rounding.
     """
     lo, hi = regime_guard(model)
     closed = lambda_opt_closed_form(model)
@@ -274,7 +274,7 @@ def lambda_opt_search(model: ModelSpec) -> LambdaOptResult:
     if derivs[-1] == 0.0:
         roots.append(float(m[-1]))
 
-    candidates = [(ev.lam, ev.total, "derivative_root") for ev in (risk_at_m(model, r) for r in roots)]
+    candidates = [(ev.lam, ev.total, "derivative_root") for ev in risk_at_m(model, roots)]
     if underparam:
         candidates.append((0.0, asymptotic_risk(model, 0.0).total, "golden_section"))
     if not roots:
@@ -303,7 +303,7 @@ def lambda_opt_search(model: ModelSpec) -> LambdaOptResult:
             "search disagrees with the applicable closed form",
             {"search": lam_opt, "closed_form": closed.lambda_opt},
         )
-    return LambdaOptResult(
+    return closed or LambdaOptResult(
         lambda_opt=lam_opt,
         risk_at_opt=risk_opt,
         method=method,

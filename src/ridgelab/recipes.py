@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .optimize import lambda_opt_search
-from .risk import asymptotic_risk, pcr_risk, weighted_model
+from .risk import pcr_risk, risk_curve, weighted_model
 from .spectra import (
     ClippedSquareNormal,
     JointSpectrum,
@@ -240,8 +240,7 @@ def _fig2_table(key: str, with_mc: bool, n: int, replicates: int, master_seed: i
         if with_mc:
             ens = recipe_ensemble(recipe, n=n, p=2 * n, master_seed=master_seed, relation=relation)
             mc_rows = simulate(ens, lams, 0.0, MonteCarloConfig(replicates=replicates, master_seed=master_seed))
-        for i, lam in enumerate(lams):
-            ev = asymptotic_risk(model, float(lam))
+        for i, (lam, ev) in enumerate(zip(lams, risk_curve(model, lams))):
             row = [recipe, float(lam), ev.total, ev.bias, ev.variance]
             if with_mc:
                 row += [mc_rows[i]["mc_mean"], mc_rows[i]["mc_se"], float(mc_rows[i]["dropped"])]

@@ -20,14 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegimeError, SolverError
-from .spectra import ModelSpec, WeightedSpectrum, split_top_mass, truncate_top
-from .stieltjes import (
-    StieltjesSolution,
-    block_rows,
-    solution_at,
-    solve_m,
-    solve_m_theta,
-)
+from .spectra import ModelSpec, WeightedSpectrum, split_top_mass
+from .stieltjes import block_rows, lambda_of_m, solve_m, solve_m_rows, solve_m_theta
 
 # half-width of the rejected band around theta * gamma = 1, where the risk diverges
 _BOUNDARY_BAND = 1e-11
@@ -35,18 +29,12 @@ _BOUNDARY_BAND = 1e-11
 
 @dataclass(frozen=True)
 class RiskEvaluation:
-    """Risk at one regularization value, split into bias and variance.
-
-    ``zeta_atoms`` holds the per-atom products ``h * m`` actually used, in
-    the atom order of the spectrum the evaluation ran on (empty when no
-    fixed point was needed, e.g. the exactly-interpolating branch).
-    """
+    """Risk at one regularization value, split into bias and variance."""
 
     lam: float
     total: float
     bias: float
     variance: float
-    zeta_atoms: tuple
 
     def __post_init__(self):
         if self.bias < 0 or self.variance < 0:
@@ -76,43 +64,50 @@ class DerivativeParts:
         return self.prefactor * (self.part3 + self.part4)
 
 
-def _risk_from_solution(model: ModelSpec, sol: StieltjesSolution) -> RiskEvaluation:
-    spec = model.spectrum
-    zeta = spec.h * sol.m
-    pref = sol.m_prime / sol.m**2
-    bias = pref * model.gamma * float(np.dot(spec.w, spec.g * spec.h / (1.0 + zeta) ** 2))
-    variance = model.sigma2 * pref
-    return RiskEvaluation(
-        lam=sol.lam,
-        total=bias + variance,
-        bias=bias,
-        variance=variance,
-        zeta_atoms=tuple(float(z) for z in zeta),
-    )
+def risk_curve(model: ModelSpec, lams) -> list:
+    """Limiting excess-plus-noise risk at every ``lam`` of ``lams``: one array
+    solve (:func:`solve_m_rows`) and one closed-form kernel over its ``m``.
+    The ridgeless point of ``gamma < 1``, where ``m`` diverges, gets its
+    closed form ``sigma2 / (1 - gamma)`` with zero bias.  A point outside
+    the domain gets the DomainError (or RegimeError) that
+    :func:`asymptotic_risk` raises there in place of its RiskEvaluation."""
+    lams = np.asarray(lams, dtype=float)
+    ridgeless = (lams == 0.0) & (model.gamma < 1.0) & (not model.spectrum.truncated)
+    out = [None] * lams.size
+    for i in np.flatnonzero(ridgeless):
+        variance = model.sigma2 / (1.0 - model.gamma)
+        out[i] = RiskEvaluation(lam=0.0, total=variance, bias=0.0, variance=variance)
+    rows = np.flatnonzero(~ridgeless)
+    if rows.size:
+        m, errors = solve_m_rows(model, lams[rows])
+        solved = np.array([error is None for error in errors], dtype=bool)
+        evaluations = iter(_evaluations(model, lams[rows[solved]].tolist(), m[solved]))
+        for i, error in zip(rows, errors):
+            out[i] = error or next(evaluations)
+    return out
 
 
 def asymptotic_risk(model: ModelSpec, lam: float) -> RiskEvaluation:
-    """Limiting excess-plus-noise risk at regularization ``lam``.
-
-    The underparameterized ridgeless point (``gamma < 1``, ``lam = 0``) is
-    served by its closed form ``sigma2 / (1 - gamma)`` with zero bias; the
-    fixed point itself diverges there.
-    """
-    if lam == 0.0 and model.gamma < 1.0 and not model.spectrum.truncated:
-        variance = model.sigma2 / (1.0 - model.gamma)
-        return RiskEvaluation(lam=0.0, total=variance, bias=0.0, variance=variance, zeta_atoms=())
-    sol = solve_m(model, lam)
-    return _risk_from_solution(model, sol)
+    """Limiting excess-plus-noise risk at regularization ``lam``: the
+    one-point case of :func:`risk_curve`, raising the DomainError of a
+    point outside the admissible domain."""
+    (row,) = risk_curve(model, [lam])
+    if isinstance(row, DomainError):
+        raise row
+    return row
 
 
-def risk_at_m(model: ModelSpec, m: float) -> RiskEvaluation:
-    """Risk at the regularization whose fixed-point solution is ``m``."""
-    return _risk_from_solution(model, solution_at(model, m))
+def risk_at_m(model: ModelSpec, m) -> list:
+    """Risk at the regularization of each fixed-point solution in ``m``."""
+    m = np.asarray(m, dtype=float)
+    return _evaluations(model, [lambda_of_m(model, x) for x in m.tolist()], m)
 
 
-def risk_curve(model: ModelSpec, lams) -> list:
-    """Evaluate the risk on a grid of regularization values."""
-    return [asymptotic_risk(model, float(lam)) for lam in lams]
+def _evaluations(model: ModelSpec, lams: list, m: np.ndarray) -> list:
+    """RiskEvaluations at the solutions ``m`` of ``lams``: ``m'/m^2 = 1/M``."""
+    margin, _, e_gh_c2, _ = _moments(model, m)
+    bias, variance = (model.gamma * e_gh_c2 / margin).tolist(), (model.sigma2 / margin).tolist()
+    return [RiskEvaluation(lam=x, total=b + v, bias=b, variance=v) for x, b, v in zip(lams, bias, variance)]
 
 
 def risk_derivative(model: ModelSpec, lam: float) -> DerivativeParts:
@@ -127,12 +122,19 @@ def derivative_parts(model: ModelSpec, m: np.ndarray) -> DerivativeParts:
 
     Closed form in ``m``: with the spectral margin ``M = 1 - gamma *
     E[zeta^2 / (1+zeta)^2]`` (``zeta = h m``), ``m' = m^2 / M`` and the
-    prefactor is ``2 gamma m / M^2``.  Raises SolverError if ``M`` is not
-    positive anywhere (that only happens at the branch edge, where the
-    derivative blows up).  Returns a DerivativeParts of arrays shaped like
-    ``m``, evaluated over blocks of rows so no temporary exceeds the block
-    cap of the grid solve.
+    prefactor is ``2 gamma m / M^2``.  Returns a DerivativeParts of arrays
+    shaped like ``m``; SolverError where ``M <= 0``, at the branch edge.
     """
+    margin, e_z2_c3, e_gh_c2, e_ghz_c3 = _moments(model, m)
+    part3 = -model.sigma2 * e_z2_c3 / margin
+    part4 = e_ghz_c3 - model.gamma * e_z2_c3 * e_gh_c2 / margin
+    return DerivativeParts(part3=part3, part4=part4, prefactor=2.0 * model.gamma * m / margin**2)
+
+
+def _moments(model: ModelSpec, m: np.ndarray) -> tuple:
+    """``(M, E[zeta^2/(1+zeta)^3], E[g h/(1+zeta)^2], E[g h zeta/(1+zeta)^3])``
+    at every ``m`` (``zeta = h m``, margin ``M = 1 - gamma E[zeta^2/(1+zeta)^2]``)
+    in blocks of rows; SolverError where ``M <= 0``, at the branch edge."""
     spec = model.spectrum
     h, w, gh = spec.h, spec.w, spec.g * spec.h
     margin, e_z2_c3, e_gh_c2, e_ghz_c3 = (np.empty_like(m) for _ in range(4))
@@ -157,9 +159,7 @@ def derivative_parts(model: ModelSpec, m: np.ndarray) -> DerivativeParts:
     if np.any(margin <= 0.0):
         i = int(np.argmin(margin))
         raise SolverError("spectral margin vanished at the branch edge", {"m": float(m[i]), "margin": float(margin[i])})
-    part3 = -model.sigma2 * e_z2_c3 / margin
-    part4 = e_ghz_c3 - model.gamma * e_z2_c3 * e_gh_c2 / margin
-    return DerivativeParts(part3=part3, part4=part4, prefactor=2.0 * model.gamma * m / margin**2)
+    return margin, e_z2_c3, e_gh_c2, e_ghz_c3
 
 
 def pcr_risk(model: ModelSpec, theta: float) -> RiskEvaluation:
@@ -184,22 +184,22 @@ def pcr_risk(model: ModelSpec, theta: float) -> RiskEvaluation:
         dropped_term = model.gamma * float(np.dot(w_dropped, gh))
         bias = pref * (kept_term + dropped_term)
         variance = model.sigma2 * pref
-        zeta = truncate_top(model.spectrum, theta).h * sol.m
-        return RiskEvaluation(
-            lam=0.0,
-            total=bias + variance,
-            bias=bias,
-            variance=variance,
-            zeta_atoms=tuple(float(z) for z in zeta),
-        )
-    bias = model.gamma * float(np.dot(w_dropped, gh)) / (1.0 - tg)
-    variance = model.sigma2 / (1.0 - tg)
-    return RiskEvaluation(lam=0.0, total=bias + variance, bias=bias, variance=variance, zeta_atoms=())
+    else:
+        bias = model.gamma * float(np.dot(w_dropped, gh)) / (1.0 - tg)
+        variance = model.sigma2 / (1.0 - tg)
+    return RiskEvaluation(lam=0.0, total=bias + variance, bias=bias, variance=variance)
 
 
 def pcr_curve(model: ModelSpec, thetas) -> list:
-    """Evaluate the truncated-regression risk on a grid of retained mass."""
-    return [pcr_risk(model, float(t)) for t in thetas]
+    """Truncated-regression risk at every retained mass of ``thetas``; a point
+    outside the domain gets its DomainError in place, as in :func:`risk_curve`."""
+    out = []
+    for theta in thetas:
+        try:
+            out.append(pcr_risk(model, float(theta)))
+        except DomainError as exc:
+            out.append(exc)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,22 +12,17 @@ of the package.
 Branch structure: when ``gamma * P(h > 0) > 1`` the map above is a
 decreasing bijection from the principal interval ``(0, m_edge)`` onto
 ``(-c0_effective, +inf)``, where ``m_edge`` solves
-``1/m^2 = gamma * E[h^2/(1+h m)^2]`` and ``c0_effective`` is the largest
-admissible negative regularization; otherwise it maps ``(0, inf)`` onto
-``(0, inf)``.  Every root on these principal branches, one or a whole
-regularization grid, comes from one array kernel (:func:`solve_m_grid`):
-Newton steps safeguarded by bisection inside a bracket on which the map
-decreases, so no iterate strays onto a spurious branch.  Negative ``lam``
-with ``gamma * P(h > 0) <= 1`` has its root at ``m < 0``, off those
-branches; it is routed through the companion transform ``s`` (the
-resolvent trace seen from the sample side), which stays well behaved
-there.
-
-``m'`` is always computed from the closed-form identity
-``m' = 1 / (1/m^2 - gamma * E[h^2/(1+h m)^2])``, never by finite
-differencing.  The identity needs ``1/m^2`` as a float64 number, so the
-principal solves serve ``1e-154 < m < 1e154`` and raise DomainError
-beyond.
+``1/m^2 = gamma * E[h^2/(1+h m)^2]``; otherwise it maps ``(0, inf)`` onto
+``(0, inf)``.  Every root on these branches comes from one array kernel
+(:func:`solve_m_grid`): Newton steps safeguarded by bisection inside a
+bracket on which the map decreases.  Negative ``lam`` with
+``gamma * P(h > 0) <= 1`` has its root at ``m < 0``, off those branches,
+and goes through the companion transform ``s`` (the resolvent trace seen
+from the sample side), solved by Newton steps from ``s = 0``.
+:func:`solve_m_rows` routes a whole grid and keeps each point's DomainError
+in its row.  ``m' = 1 / (1/m^2 - gamma * E[h^2/(1+h m)^2])`` is closed
+form, so the solves serve ``1e-154 < |m| < 1e154``, where ``1/m^2`` is a
+float64 number.
 """
 
 import math
@@ -145,11 +140,6 @@ def lambda_of_m(model: ModelSpec, m: float) -> float:
     return 1.0 / m - model.gamma * float(np.dot(w, h / scaled))
 
 
-def _mprime_denom(model: ModelSpec, m: float) -> float:
-    h, w = model.spectrum.h, model.spectrum.w
-    return 1.0 / (m * m) - model.gamma * float(np.dot(w, (h / (1.0 + h * m)) ** 2))
-
-
 @lru_cache(maxsize=512)
 def find_edge(model: ModelSpec) -> EdgeInfo:
     """Locate the endpoint of the principal branch.
@@ -190,31 +180,15 @@ def find_edge(model: ModelSpec) -> EdgeInfo:
 
 
 def solve_m(model: ModelSpec, lam: float) -> StieltjesSolution:
-    """Solve the trace fixed point at regularization ``lam``.
-
-    On the principal branches the root is row 0 of
-    ``solve_m_grid(model, [lam])``: any ``lam > -c0_effective`` when
-    ``gamma * P(h > 0) > 1``, and any ``lam > 0`` otherwise.  Negative
-    ``lam`` with ``gamma * P(h > 0) <= 1`` goes through the companion
-    transform down to the underparameterized spectrum edge; exactly
-    ``lam = 0`` has no finite trace there.  Admissible ``lam`` also keep
-    ``1e-154 < m < 1e154``, where ``1/m^2`` in the identity for ``m'`` is a
-    float64 number: ``lam + gamma E[h]`` stays below about 1e154, and with
-    ``gamma * P(h > 0) <= 1`` a positive ``lam`` stays above about
-    1e-154.  Outside the domain a DomainError is raised.
-    """
-    if not math.isfinite(lam):
-        raise DomainError(f"lam must be finite, got {lam!r}")
-    if lam <= 0.0 and model.gamma * model.spectrum.positive_mass() <= 1.0:
-        if lam == 0.0:
-            raise DomainError(
-                "the ridgeless trace diverges when gamma * P(h > 0) <= 1; "
-                "evaluate the risk limit directly instead",
-            )
-        m = (1.0 - model.gamma) / lam + model.gamma * _companion_direct(model, lam)
-    else:
-        m = float(solve_m_grid(model, [lam])[0])
-    denom = _mprime_denom(model, m)
+    """Solve the trace fixed point at regularization ``lam``: the one-row
+    case of :func:`solve_m_rows`, raising the DomainError of a ``lam``
+    outside the domain."""
+    (m,), (error,) = solve_m_rows(model, [lam])
+    if error is not None:
+        raise error
+    h, w = model.spectrum.h, model.spectrum.w
+    m = float(m)
+    denom = 1.0 / (m * m) - model.gamma * float(np.dot(w, (h / (1.0 + h * m)) ** 2))
     if denom <= 0.0:
         raise SolverError(
             "derivative identity denominator not positive; solution left the principal branch",
@@ -222,6 +196,37 @@ def solve_m(model: ModelSpec, lam: float) -> StieltjesSolution:
         )
     residual = abs(lambda_of_m(model, m) - lam) / max(abs(lam), 1.0 / abs(m))
     return StieltjesSolution(lam=lam, m=m, m_prime=1.0 / denom, residual=residual)
+
+
+def solve_m_rows(model: ModelSpec, lams) -> tuple:
+    """``(m, errors)`` at every ``lam`` of ``lams``: ``errors[i]`` is None, or
+    the DomainError of a ``lams[i]`` outside the domain, where ``m[i]`` is
+    NaN.  The principal rows are one solve of the :func:`solve_m_grid`
+    kernel, the negative ``lam`` with ``gamma * P(h > 0) <= 1`` one
+    companion solve."""
+    lams = np.asarray(lams, dtype=float)
+    gamma, spec = model.gamma, model.spectrum
+    companion = np.isfinite(lams) & (lams < 0.0) & (gamma * spec.positive_mass() <= 1.0)
+    lo, hi, errors = _principal_bracket(model, lams)
+    # no negative lam is admissible without full mass and gamma < 1
+    bound = (1.0 - math.sqrt(gamma)) ** 2 * spec.c_lower if gamma < 1.0 and not spec.truncated else 0.0
+    for i in np.flatnonzero(companion):
+        lam = float(lams[i])
+        if lam <= -bound:
+            errors[i] = DomainError(f"lam={lam!r} at or below the admissible limit {-bound!r}", c0_effective=bound)
+        else:  # |m| < (1 - gamma) / |lam| on the companion branch
+            errors[i] = None if -lam * _M_LIMIT > 1.0 - gamma else DomainError(f"lam={lam!r} {_OUT_OF_RANGE}")
+    solvable = np.array([error is None for error in errors], dtype=bool)
+    m = np.full_like(lams, np.nan)
+    rows = solvable & ~companion
+    m[rows] = _grid_roots(model, lams[rows], lo[rows], hi[rows])
+    rows = np.flatnonzero(solvable & companion)
+    if rows.size:
+        m[rows] = (1.0 - gamma) / lams[rows] + gamma * _companion_direct(model, lams[rows])
+    for i in rows[np.isnan(m[rows])]:
+        errors[i] = DomainError(f"no companion solution at lam={float(lams[i])!r}: beyond the effective edge",
+                                c0_effective=bound)
+    return m, errors
 
 
 def solve_m_theta(model: ModelSpec, theta: float) -> StieltjesSolution:
@@ -242,12 +247,6 @@ def solve_m_theta(model: ModelSpec, theta: float) -> StieltjesSolution:
     return solve_m(sub, 0.0)
 
 
-def solution_at(model: ModelSpec, m: float) -> StieltjesSolution:
-    """The fixed point whose solution is ``m``: ``lam = lambda_of_m(m)``,
-    ``m'`` from the derivative identity, zero residual by construction."""
-    return StieltjesSolution(lam=lambda_of_m(model, m), m=m, m_prime=1.0 / _mprime_denom(model, m), residual=0.0)
-
-
 # ---------------------------------------------------------------------------
 # array solve over a regularization grid
 # ---------------------------------------------------------------------------
@@ -256,8 +255,9 @@ def solution_at(model: ModelSpec, m: float) -> StieltjesSolution:
 # float64, so a 512 x 2048 grid adds no measurable memory over a scalar solve
 _BLOCK_ELEMENTS = 8192
 _GRID_RTOL = 1e-13
-# m and 1/m^2 are float64 numbers, with room to spare, for 1/_M_LIMIT < m < _M_LIMIT
+# m and 1/m^2 are float64 numbers, with room to spare, for 1/_M_LIMIT < |m| < _M_LIMIT
 _M_LIMIT = 1e154
+_OUT_OF_RANGE = "puts m outside (1e-154, 1e154), where 1/m^2 in the identity for m' is not a float64 number"
 
 
 def block_rows(rows: int, atoms: int) -> int:
@@ -271,48 +271,55 @@ def solve_m_grid(model: ModelSpec, lams) -> np.ndarray:
     """Principal ``m`` at every ``lam`` of ``lams`` in one array solve.
 
     Serves ``lam > -c0_effective`` when ``gamma * P(h > 0) > 1`` and
-    ``lam > 0`` otherwise, within the float64 range of :func:`solve_m`.
-    Each root lies in ``[1/(lam + gamma E[h]), min(1/lam, m_edge)]`` (the
-    upper end is ``m_edge`` on the principal branch, ``1/lam`` for
-    ``lam > 0``), where ``lambda(m)`` decreases, and is found by Newton
-    steps safeguarded by bisection.  A row is done once its Newton
-    correction or its bracket is below 1e-13 relative; SolverError after
-    200 steps.
+    ``lam > 0`` otherwise, within the float64 range of ``m``, and raises
+    the DomainError of the first row outside it.  Each root lies in
+    ``[1/(lam + gamma E[h]), min(1/lam, m_edge)]``, where ``lambda(m)``
+    decreases, and is found by Newton steps safeguarded by bisection.  A
+    row is done once its Newton correction or its bracket is below 1e-13
+    relative; SolverError after 200 steps.
     """
     lams = np.asarray(lams, dtype=float)
-    gamma, h, w = model.gamma, model.spectrum.h, model.spectrum.w
-    if gamma * model.spectrum.positive_mass() > 1.0:
-        edge = find_edge(model)
-        if np.any(lams <= -edge.c0_effective):
-            raise DomainError(
-                f"lam={float(lams.min())!r} at or below the admissible limit "
-                f"-c0_effective={-edge.c0_effective!r}",
-                c0_effective=edge.c0_effective,
-            )
-        hi = np.full_like(lams, edge.m_edge)
-    elif np.any(lams <= 0.0):
-        raise DomainError("the grid solve needs lam > 0 when gamma * P(h > 0) <= 1")
-    else:
-        hi = np.full_like(lams, np.inf)
-    up = lams > 0.0
-    # lambda(1/lam) < lam; the floor keeps 1/lam finite, and a lam under it
-    # is rejected below unless m_edge is the tighter end
-    hi[up] = np.minimum(hi[up], 1.0 / np.maximum(lams[up], 1.0 / _M_LIMIT))
-    lo = 1.0 / (lams + gamma * float(np.dot(w, h)))  # lambda(lo) > lam since h/(1+hm) < h
-    outside = (lo <= 1.0 / _M_LIMIT) | (hi >= _M_LIMIT)
-    if np.any(outside):
-        raise DomainError(
-            f"lam={float(lams[outside][0])!r} puts m outside (1e-154, 1e154), where "
-            "1/m^2 in the identity for m' is not a float64 number",
-        )
+    lo, hi, errors = _principal_bracket(model, lams)
+    for error in filter(None, errors):
+        raise error
+    return _grid_roots(model, lams, lo, hi)
 
+
+def _grid_roots(model: ModelSpec, lams: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    h, w = model.spectrum.h, model.spectrum.w
     m = np.empty_like(lams)
     step = block_rows(lams.size, h.size)
     work = np.empty((step, h.size))  # reused by every block
     for i in range(0, lams.size, step):
         rows = slice(i, i + step)
-        m[rows] = _newton_block(gamma, h, w, lams[rows], lo[rows], hi[rows], work, _MAX_ITER)
+        m[rows] = _newton_block(model.gamma, h, w, lams[rows], lo[rows], hi[rows], work, _MAX_ITER)
     return m
+
+
+def _principal_bracket(model: ModelSpec, lams: np.ndarray) -> tuple:
+    """``(lo, hi, errors)``: the root bracket of :func:`solve_m_grid` at every
+    ``lam``, and per row None or the DomainError of a ``lam`` outside it."""
+    gamma, h, w = model.gamma, model.spectrum.h, model.spectrum.w
+    if gamma * model.spectrum.positive_mass() > 1.0:
+        edge = find_edge(model)
+        c0, hi = edge.c0_effective, np.full_like(lams, edge.m_edge)
+        limit = f"at or below the admissible limit -c0_effective={-c0!r}"
+    else:  # the principal branch maps (0, inf) onto (0, inf)
+        c0, hi = None, np.full_like(lams, np.inf)
+        limit = "is not positive: with gamma * P(h > 0) <= 1 the principal trace diverges at lam = 0"
+    below = lams <= -(c0 or 0.0)
+    up = lams > 0.0
+    # lambda(1/lam) < lam; the floor keeps 1/lam finite, and a lam under it
+    # is rejected below unless m_edge is the tighter end
+    hi[up] = np.minimum(hi[up], 1.0 / np.maximum(lams[up], 1.0 / _M_LIMIT))
+    # lambda(lo) > lam since h/(1+hm) < h; lam + gamma E[h] > 0 above the edge
+    lo = 1.0 / np.where(below, 1.0, lams + gamma * float(np.dot(w, h)))
+    errors = [None] * lams.size
+    for i in np.flatnonzero(~np.isfinite(lams) | below | (lo <= 1.0 / _M_LIMIT) | (hi >= _M_LIMIT)):
+        lam = float(lams[i])
+        reason = "is not finite" if not math.isfinite(lam) else limit if below[i] else _OUT_OF_RANGE
+        errors[i] = DomainError(f"lam={lam!r} {reason}", c0_effective=c0 if reason is limit else None)
+    return lo, hi, errors
 
 
 def _newton_block(gamma, h, w, target, lo, hi, work, max_iter):
@@ -350,39 +357,33 @@ def _newton_block(gamma, h, w, target, lo, hi, work, max_iter):
     raise SolverError("grid solve did not converge", {"max_iter": max_iter, "unconverged": rows.size})
 
 
-def _companion_direct(model: ModelSpec, lam: float) -> float:
-    """Sample-side resolvent trace ``s`` at ``lam < 0`` (underparameterized
-    only), solving
-
-        s = E[1 / (h (1 - gamma + gamma lam s) + lam)].
-
-    The right side minus ``s`` is convex there, and the principal root is
-    taken on the decreasing segment left of its minimum.  Negative
-    regularization below the square-root domain bound is rejected
-    outright.
-    """
-    gamma = model.gamma
-    spec = model.spectrum
-    if gamma >= 1.0 or spec.truncated:
-        raise DomainError("negative lam via the companion route needs gamma < 1 and a full-mass spectrum")
-    bound = (1.0 - math.sqrt(gamma)) ** 2 * spec.c_lower
-    if lam <= -bound:
-        raise DomainError(
-            f"lam={lam!r} at or below the admissible limit {-bound!r}",
-            c0_effective=bound,
-        )
-
-    def G(s: float) -> float:
-        denom = spec.h * (1.0 - gamma + gamma * lam * s) + lam
-        if np.any(denom <= 0.0):
-            raise DomainError(f"companion denominators not positive at s={s!r}, lam={lam!r}")
-        return float(np.dot(spec.w, 1.0 / denom)) - s
-
-    cap = float(np.min(((1.0 - gamma) + lam / spec.h) / (-gamma * lam)))
-    s_min = golden_min(G, cap * 1e-12, cap * (1.0 - 1e-12), _TOL, _MAX_ITER, 1e-300)
-    if G(s_min) > 0.0:
-        raise DomainError(
-            f"no companion solution at lam={lam!r}: beyond the effective edge",
-            c0_effective=bound,
-        )
-    return bisect(G, 0.0, s_min, _TOL, _MAX_ITER, 1e-300)
+def _companion_direct(model: ModelSpec, lams: np.ndarray) -> np.ndarray:
+    """Sample-side resolvent trace ``s`` at every ``lam`` of ``lams`` in
+    ``(-(1 - gamma) min h, 0)`` (``gamma < 1``, full mass): the root of
+    ``G(s) = E[1 / (h (1 - gamma + gamma lam s) + lam)] - s``, convex left of
+    the pole of the smallest atom, so Newton steps from ``s = 0`` rise to
+    the root.  ``G' >= 0`` at an iterate, or a step to the pole, means the
+    ``lam`` lies beyond the effective edge: NaN."""
+    gamma, h, w = model.gamma, model.spectrum.h, model.spectrum.w
+    s = np.full_like(lams, np.nan)
+    step = block_rows(lams.size, h.size)
+    for start in range(0, lams.size, step):
+        rows = np.arange(start, min(start + step, lams.size))
+        lam, x = lams[rows], np.zeros(rows.size)
+        for _ in range(_MAX_ITER):
+            inv = 1.0 / (np.multiply.outer(1.0 - gamma + gamma * lam * x, h) + lam[:, None])
+            gap = inv @ w - x
+            slope = -gamma * lam * ((inv * inv * h) @ w) - 1.0
+            edge = slope >= 0.0
+            new = x - gap / np.where(edge, -1.0, slope)
+            edge |= h.min() * (1.0 - gamma + gamma * lam * new) + lam <= 0.0  # at or past the pole
+            # gap <= 0 only where rounding put the iterate on the root
+            done = ~edge & ((np.abs(new - x) <= _GRID_RTOL * new) | (gap <= 0.0))
+            s[rows[done]] = new[done]
+            live = ~(edge | done)
+            rows, x, lam = rows[live], new[live], lam[live]
+            if rows.size == 0:
+                break
+        else:
+            raise SolverError("companion solve did not converge", {"max_iter": _MAX_ITER, "unconverged": rows.size})
+    return s

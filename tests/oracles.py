@@ -90,7 +90,11 @@ def solve_companion(model: ModelSpec, lam: float) -> CompanionSolution:
             raise DomainError("companion closed form at lam = 0 needs gamma < 1 and a full-mass spectrum")
         s, m = float(np.dot(spec.w, 1.0 / spec.h)) / (1.0 - gamma), math.inf
     elif lam < 0.0:
-        s = _companion_direct(model, lam)
+        if gamma >= 1.0 or spec.truncated:
+            raise DomainError("the companion route needs gamma < 1 and a full-mass spectrum")
+        s = float(_companion_direct(model, np.array([lam]))[0])
+        if math.isnan(s):
+            raise DomainError(f"no companion solution at lam={lam!r}")
         m = (1.0 - gamma) / lam + gamma * s
     else:
         def G(s: float) -> float:
@@ -184,11 +188,13 @@ def scalar_lambda_opt_search(model: ModelSpec) -> LambdaOptResult:
         sign = "negative" if lam_opt < 0.0 else "positive"
 
     closed = lambda_opt_closed_form(model)
-    if closed is not None and abs(closed.lambda_opt - lam_opt) > 1e-6 * max(1.0, abs(closed.lambda_opt)):
-        raise SolverError(
-            "search disagrees with the applicable closed form",
-            {"search": lam_opt, "closed_form": closed.lambda_opt},
-        )
+    if closed is not None:
+        if abs(closed.lambda_opt - lam_opt) > 1e-6 * max(1.0, abs(closed.lambda_opt)):
+            raise SolverError(
+                "search disagrees with the applicable closed form",
+                {"search": lam_opt, "closed_form": closed.lambda_opt},
+            )
+        return closed
     return LambdaOptResult(
         lambda_opt=lam_opt,
         risk_at_opt=risk_opt,

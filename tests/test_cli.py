@@ -330,6 +330,14 @@ class TestReproduce:
         code, _ = run(capsys, ["reproduce", "fig99"])
         assert code == 2
 
+    def test_flat_profile_rows_print_exact_zero(self, capsys) -> None:
+        # alpha = 0 is a flat signal profile: the noiseless closed form is exactly 0
+        code, out = run(capsys, ["reproduce", "fig4-left"])
+        cols, rows = parse_csv(out)
+        flat = [(row[cols.index("lambda_opt")], row[cols.index("sign_class")]) for row in rows if row[1] == "0"]
+        assert (code, len(flat)) == (0, 7)
+        assert set(flat) == {("0", "zero")}
+
     def test_scenario_file(self, capsys, tmp_path) -> None:
         doc = {
             "spectrum": [[1, 1, 0.75], [5, 5, 0.25]],

@@ -4,7 +4,8 @@ The reference ``m`` comes from a 40-digit ``mpmath`` bisection that finds
 its own branch edge and brackets.  The ``lambda`` residual is asserted
 relative to the terms that cancel in it, ``max(|lambda|, 1/|m|)``.  The
 optimum search is checked against the scalar search of
-``tests/oracles.py``.
+``tests/oracles.py``, and each row of a risk curve against the risk at
+its point alone.
 """
 
 from __future__ import annotations
@@ -16,7 +17,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ridgelab import JointSpectrum, ModelSpec, asymptotic_risk, lambda_opt_search, solve_m
+from ridgelab import (
+    DomainError,
+    JointSpectrum,
+    ModelSpec,
+    RiskEvaluation,
+    asymptotic_risk,
+    find_edge,
+    lambda_opt_search,
+    risk_curve,
+    solve_m,
+)
 from ridgelab.stieltjes import solve_m_grid
 
 from oracles import scalar_lambda_opt_search
@@ -139,3 +150,42 @@ def test_search_matches_the_scalar_search(model) -> None:
     assert (out.method, out.sign_class, out.domain) == (ref.method, ref.sign_class, ref.domain)
     assert abs(out.lambda_opt - ref.lambda_opt) <= 1e-10 * max(1.0, abs(ref.lambda_opt))
     assert abs(out.risk_at_opt - ref.risk_at_opt) <= 1e-10 * ref.risk_at_opt
+
+
+@st.composite
+def curve_problems(draw):
+    """A random 1-8 atom model and a shuffled grid that straddles the
+    negative edge, 0, and the lam at which m leaves (1e-154, 1e154)."""
+    k = draw(st.integers(1, 8))
+    h = [10.0 ** draw(st.floats(-3, 3)) for _ in range(k)]
+    g = [draw(st.floats(0, 3)) for _ in range(k)]
+    w = np.array([draw(st.floats(0.05, 1)) for _ in range(k)])
+    w /= w.sum()
+    gamma = draw(st.floats(0.1, 10).filter(lambda v: v != 1.0))
+    model = ModelSpec(gamma, draw(st.sampled_from([0.0, 0.1, 1.0])), JointSpectrum(np.column_stack([h, g, w])))
+    if gamma > 1.0:
+        edge = find_edge(model).c0_effective
+    else:  # the closed-form bound of the companion route
+        edge = (1.0 - math.sqrt(gamma)) ** 2 * min(h)
+    lams = [-edge * f for f in (2.0, 1.0 + 1e-6, 1.0, 0.999, 0.5, draw(st.floats(0.0, 1.0)))]
+    lams += [0.0, -1e-150, 1e-150, -1e-160, 1e-160, 1e153, 1e160, math.inf]
+    lams += [10.0 ** draw(st.floats(-4, 3)) for _ in range(3)]
+    return model, draw(st.permutations(lams))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(curve_problems())
+def test_curve_rows_match_the_risk_at_their_points(problem) -> None:
+    # a RuntimeWarning anywhere, masked rows included, fails the test (pyproject.toml)
+    model, lams = problem
+    rows = risk_curve(model, lams)
+    assert len(rows) == len(lams)
+    for lam, row in zip(lams, rows):
+        try:
+            alone = asymptotic_risk(model, lam)
+        except DomainError as exc:
+            assert type(row) is type(exc), (lam, row, exc)
+            continue
+        assert isinstance(row, RiskEvaluation) and row.lam == lam
+        for got, want in ((row.total, alone.total), (row.bias, alone.bias), (row.variance, alone.variance)):
+            assert abs(got - want) <= 1e-12 * abs(want), (lam, got, want)

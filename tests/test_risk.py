@@ -41,7 +41,7 @@ class TestAsymptoticRisk:
         assert out.bias == pytest.approx(1.0, abs=1e-12)
         assert out.variance == pytest.approx(0.5, abs=1e-12)
         assert out.total == pytest.approx(1.5, abs=1e-12)
-        assert out.zeta_atoms == pytest.approx((1.0,))
+        assert ISO_QUARTER_NOISE.spectrum.h * solve_m(ISO_QUARTER_NOISE, 0.0).m == pytest.approx([1.0])
 
     def test_risk_at_tuned_lambda(self) -> None:
         assert asymptotic_risk(ISO_QUARTER_NOISE, 0.25).total == pytest.approx(
@@ -59,7 +59,6 @@ class TestAsymptoticRisk:
         out = asymptotic_risk(model, 0.0)
         assert out.total == pytest.approx(0.6, abs=1e-14)
         assert out.bias == 0.0
-        assert out.zeta_atoms == ()
 
     def test_underparameterized_positive_lambda_continuity(self) -> None:
         model = ModelSpec(0.5, 0.3, point_mass(2.0))
@@ -77,7 +76,7 @@ class TestAsymptoticRisk:
 
     def test_negative_component_rejected(self) -> None:
         with pytest.raises(SolverError):
-            RiskEvaluation(lam=0.0, total=0.0, bias=-0.1, variance=0.1, zeta_atoms=())
+            RiskEvaluation(lam=0.0, total=0.0, bias=-0.1, variance=0.1)
 
 
 class TestAlternativeForm:
@@ -203,6 +202,10 @@ class TestPcr:
         thetas = [0.3, 0.75, 1.0]
         for theta, row in zip(thetas, pcr_curve(model, thetas)):
             assert row.total == pcr_risk(model, theta).total
+
+    def test_curve_keeps_each_points_error(self) -> None:
+        rows = pcr_curve(ModelSpec(2.0, 0.1, ALIGNED_TWO_POINT), [0.5, 1.2, 0.75])
+        assert [type(row) for row in rows] == [RegimeError, DomainError, RiskEvaluation]
 
 
 class TestWeighted:

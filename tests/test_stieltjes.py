@@ -20,7 +20,7 @@ from ridgelab import (
     truncate_top,
     Uniform,
 )
-from ridgelab.stieltjes import solve_m_grid
+from ridgelab.stieltjes import _companion_direct, solve_m_grid
 
 from oracles import second_derivative, solve_companion
 
@@ -101,6 +101,12 @@ class TestSolveM:
         for lam in (math.inf, 1e300):  # 1e300: 1/m^2 in the identity for m' overflows
             with pytest.raises(DomainError):
                 solve_m(model, lam)
+
+    @pytest.mark.parametrize("lam", [-1e-160, 1e-160, -1e-309])
+    def test_underparameterized_lambda_too_close_to_zero(self, lam: float) -> None:
+        # |m| is about 0.5 / |lam| > 1e154, where 1/m^2 in the identity for m' underflows
+        with pytest.raises(DomainError, match="outside"):
+            solve_m(ModelSpec(0.5, 0.0, point_mass(1.0)), lam)
 
 
 class TestSolveMGrid:
@@ -211,6 +217,16 @@ class TestCompanion:
         expected = spec.expect(lambda h, g: 1.0 / h) / (1.0 - 0.5)
         assert comp.s == pytest.approx(expected, rel=1e-12)
         assert math.isinf(comp.m_from_s)
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.2])
+    def test_no_root_beyond_the_edge(self, gamma: float) -> None:
+        # the bound (1 - sqrt(gamma))^2 is the exact edge of a point mass;
+        # beyond it a Newton step can land past the pole of the atom, which
+        # stays right of s = 0 while lam > -(1 - gamma)
+        edge = (1.0 - math.sqrt(gamma)) ** 2
+        factors = np.array([1.001, 1.5, 2.0, 2.5, 0.5])
+        s = _companion_direct(ModelSpec(gamma, 0.0, point_mass(1.0)), -edge * factors)
+        assert np.isnan(s[:-1]).all() and s[-1] > 0.0
 
     def test_overparameterized_needs_positive_lambda(self) -> None:
         model = ModelSpec(2.0, 0.0, point_mass(1.0))
