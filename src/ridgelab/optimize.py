@@ -5,13 +5,13 @@ can be negative when strong eigendirections carry disproportionately
 strong signal and noise is small.  The search machinery is derivative
 based: the risk derivative factors into a positive prefactor times a sum
 of two signed parts, so locating sign changes of that sum is both cheaper
-and better conditioned than minimizing the risk directly.  Both parts
-are closed form in the fixed-point solution ``m``, so the scan is one
-array solve of the fixed point over the whole regularization grid plus
-one array evaluation of the parts, and each sign change is refined by
-bisection in ``m`` with no further fixed-point solve.  A golden section
-pass over the risk itself remains as the fallback when no sign change is
-bracketed.
+and better conditioned than minimizing the risk directly.  The search
+runs in the fixed-point solution ``m`` rather than in ``lam``: both parts
+are closed form in ``m`` and ``lam(m) = 1/m - gamma E[h/(1+hm)]`` is
+explicit, so the scan over the whole domain, ``lam`` up to about 1e150,
+needs the fixed point only at the domain's negative end and at 0.  Each
+sign change is refined in ``m``; with none, the risk rises over the whole
+domain and its lower end is the optimum.
 """
 
 import math
@@ -22,29 +22,30 @@ import numpy as np
 from .errors import DomainError, RegimeError, SolverError
 from .risk import asymptotic_risk, derivative_parts, risk_at_m, weighted_model
 from .spectra import JointSpectrum, ModelSpec, WeightedSpectrum
-from .stieltjes import bisect, find_edge, golden_min, solve_m, solve_m_grid
+from .stieltjes import find_edge, solve_m, solve_m_grid
 
-_GRID_POINTS = 512
 _ZERO_ATOL = 1e-7
 _TIE_RTOL = 1e-9
-# golden section on the risk stops at width <= 2e-11 * max(b, -a, 0.5): 1e-11
-# relative to |a| + |b| on a narrow interval, never below 1e-11 absolute
-_GOLDEN_RTOL, _GOLDEN_FLOOR = 2e-11, 0.5
 # derivative roots are refined in m to 1e-14 relative: lam moves by at most
 # about 1e-14 * (|lam| + gamma E[h]), far inside the 1e-12 of a scalar solve
 _M_RTOL = 1e-14
-# step caps of the root bisection and of the golden section
-_BISECT_MAX_ITER, _GOLDEN_MAX_ITER = 200, 600
+_MAX_STEPS = 200  # step cap of the root refinement
+# the scan keeps 1e-150 <= u = 1/m <= 1e150 and places 32 points per decade
+# of its offsets from u(lam = 0)
+_U_LIMIT = 1e150
+_PER_DECADE = 32
 
 
 @dataclass(frozen=True)
 class LambdaOptResult:
     """Outcome of an optimal-regularization computation.
 
-    ``method`` records how the value was obtained (``closed_form``,
-    ``derivative_root``, or ``golden_section``); ``sign_class`` is one of
+    ``method`` records how the value was obtained: ``closed_form``,
+    ``derivative_root`` (a sign change of the derivative), or ``endpoint``
+    (the ridgeless end ``lam = 0`` when ``gamma < 1``, or the lower end of
+    the domain when the risk rises over all of it).  ``sign_class`` is one of
     ``negative``, ``zero``, ``positive``, ``indeterminate``; ``domain`` is
-    the half-open search interval that was considered admissible.
+    the admissible search interval ``(lo, inf)``.
     """
 
     lambda_opt: float
@@ -88,25 +89,43 @@ class TwoPointSpec:
 # ---------------------------------------------------------------------------
 
 
+def _levels(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple:
+    """Group the values of ``x`` into levels and average ``y`` over each.
+
+    Returns ``(order, labels, levels, means, masses)``: ``order`` sorts ``x``
+    stably, ``labels[i]`` is the level of ``x[order[i]]``, and each level
+    holds its anchor (its first sorted value), the ``w``-weighted mean of
+    ``y`` and the summed ``w``.  A value joins the level of the anchor
+    before it when it lies within 1e-12 * max(1, |value|) of that anchor.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    tol = 1e-12 * np.maximum(1.0, np.abs(xs))
+    # a value beyond reach of its predecessor is beyond reach of every anchor
+    # before it, so these gaps start levels; a run without such a gap is one
+    # level unless it reaches farther than its anchor's tolerance
+    start = np.concatenate([[True], xs[1:] - xs[:-1] > tol[1:]])
+    run = np.maximum.accumulate(np.where(start, np.arange(xs.size), 0))
+    if np.any(np.abs(xs - xs[run]) > tol):  # such a run: anchor its levels one value at a time
+        anchor = xs[0]
+        for i in range(1, xs.size):
+            start[i] = abs(xs[i] - anchor) > tol[i]
+            if start[i]:
+                anchor = xs[i]
+    labels = np.cumsum(start) - 1
+    ws = w[order]
+    masses = np.bincount(labels, weights=ws)  # summed in sorted order, one atom at a time
+    return order, labels, xs[start], np.bincount(labels, weights=ws * y[order]) / masses, masses
+
+
 def conditional_means(spectrum: JointSpectrum):
     """Group atoms by eigenvalue and average the signal energy per level.
 
-    Returns ``(levels, means, masses)`` with levels ascending; eigenvalues
-    within a relative 1e-12 of each other share a level.
+    Returns ``(levels, means, masses)`` with levels ascending; an
+    eigenvalue within 1e-12 * max(1, |h|) of the first (smallest) one of
+    a level belongs to that level.
     """
-    order = np.argsort(spectrum.h, kind="stable")
-    levels, means, masses = [], [], []
-    for i in order:
-        h, g, w = float(spectrum.h[i]), float(spectrum.g[i]), float(spectrum.w[i])
-        if levels and abs(h - levels[-1]) <= 1e-12 * max(1.0, abs(h)):
-            means[-1] += w * g
-            masses[-1] += w
-        else:
-            levels.append(h)
-            means.append(w * g)
-            masses.append(w)
-    means = [m / w for m, w in zip(means, masses)]
-    return np.array(levels), np.array(means), np.array(masses)
+    return _levels(spectrum.h, spectrum.g, spectrum.w)[2:]
 
 
 def _monotonicity(means: np.ndarray) -> str:
@@ -195,7 +214,7 @@ def _require_signal(spectrum: JointSpectrum) -> None:
 
 
 def regime_guard(model: ModelSpec) -> tuple:
-    """Admissible search interval for the optimal regularization.
+    """Admissible search interval ``(lo, inf)`` for the optimal regularization.
 
     Overparameterized problems may search a margin above the effective
     negative limit; underparameterized ones are restricted to
@@ -207,12 +226,10 @@ def regime_guard(model: ModelSpec) -> tuple:
     if model.gamma == 1.0:
         raise RegimeError("aspect ratio exactly 1 is excluded from optimum searches")
     _require_signal(model.spectrum)
-    lam_max = 100.0 * (model.sigma2 + model.gamma * model.spectrum.e_gh())
     if model.gamma < 1.0:
-        return (0.0, lam_max)
+        return (0.0, math.inf)
     edge = find_edge(model)
-    lo = -edge.c0_effective * (1.0 - 1e-3)
-    return (lo, lam_max)
+    return (-edge.c0_effective * (1.0 - 1e-3), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -220,68 +237,137 @@ def regime_guard(model: ModelSpec) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _search_grid(lo: float, hi: float) -> np.ndarray:
-    """Sign-scan grid: geometric resolution toward 0 from both sides."""
-    if lo < 0.0:
-        neg = -np.geomspace(-lo, -lo * 1e-8, _GRID_POINTS - 342)
-        pos = np.geomspace(hi * 1e-10, hi, 341)
-        return np.concatenate([neg, [0.0], pos])
-    return np.concatenate([[0.0], np.geomspace(hi * 1e-10, hi, _GRID_POINTS - 1)])
+def _scan_limits(model: ModelSpec) -> tuple:
+    """``(u_min, u_max)`` in ``u = 1/m``, within ``[1e-150, 1e150]``: no root
+    of the derivative sum lies above ``u_max`` nor, when ``gamma < 1``,
+    below ``u_min`` (1e-150 when ``gamma > 1``).
+
+    With ``z = h m``, ``A = E[z^2/(1+z)^3]``, ``B = E[g h z/(1+z)^3]``,
+    ``C = E[g h/(1+z)^2]`` and the margin ``M = 1 - gamma E[z^2/(1+z)^2]``,
+    the sum is ``S = B - A (sigma2 + gamma C) / M``.  Where every
+    ``z <= eps`` with ``gamma eps^2 <= 1/2``, ``S >= m E[g h^2] / 1.331 -
+    2 m^2 E[h^2] (sigma2 + gamma E[g h])``, positive for ``m < 0.375
+    E[g h^2] / (E[h^2] (sigma2 + gamma E[g h]))``.  Where every positive
+    ``z >= 4``, ``A`` and ``B`` lie within a factor 0.512 of ``E+[1/h]/m``
+    and ``E+[g/h]/m^2`` (``E+`` over ``h > 0``) and ``1 - gamma P(h > 0) <=
+    M <= 1``: ``S > 0`` once ``m > 2 gamma E+[1/h] / (1 - gamma P(h > 0))``
+    when ``sigma2 = 0``, and ``S < 0`` once ``m > 2 E+[g/h] / (sigma2
+    E+[1/h])`` when ``sigma2 > 0``.
+    """
+    spec, gamma, sigma2 = model.spectrum, model.gamma, model.sigma2
+    h, g, w = spec.h, spec.g, spec.w
+    hs = h / h.max()  # h^2 scaled so that it cannot overflow
+    g2 = float(np.dot(w, g * hs * hs)) / float(np.dot(w, hs * hs))  # E[g h^2] / E[h^2]
+    eps = min(0.1, math.sqrt(0.5 / gamma))
+    u_max = max(float(h.max()) / eps, (sigma2 + gamma * spec.e_gh()) / (0.375 * g2) if g2 else math.inf)
+    u_min = 0.0
+    if gamma < 1.0:
+        pos = h > 0.0
+        h_min = float(h[pos].min())
+        if sigma2 == 0.0:  # by E+[1/h] <= P(h > 0) / h_min
+            gp = gamma * spec.positive_mass()
+            u_min = h_min * min(0.25, (1.0 - gp) / (2.0 * gp))
+        else:
+            inv = w[pos] * (h_min / h[pos])  # the weights of E+[1/h], scaled by h_min
+            g_inv = float(np.dot(inv, g[pos])) / float(inv.sum())  # E+[g/h] / E+[1/h]
+            u_min = min(0.25 * h_min, sigma2 / (2.0 * g_inv) if g_inv else math.inf)
+    return max(u_min, 1.0 / _U_LIMIT), min(u_max, _U_LIMIT)
 
 
-def _deriv_sum(model: ModelSpec, m: float) -> float:
-    parts = derivative_parts(model, np.array([m]))
-    return float(parts.part3[0] + parts.part4[0])
+def _scan_grid(model: ModelSpec, lo: float) -> np.ndarray:
+    """The ``m`` of the sign scan, descending (``lam`` ascending), in
+    ``u = 1/m`` with ``u0 = 1/m(0)``: ``m(lo)``; ``u`` geometric from
+    ``1/m(lo)`` to ``u0``, together with ``u0 - u`` geometric over 8 decades
+    toward 0; ``m(0)``; then ``u - u0`` geometric from ``1e-8 min(u0,
+    sigma2 + gamma E[g h])`` up to ``u_max``.  So ``m`` is resolved at 32
+    points per decade everywhere and to 1e-8 relative around ``m(0)``.
+    With ``gamma < 1``, ``m(0)`` is infinite and ``u`` runs geometrically
+    from ``u_min`` to ``u_max``."""
+    u_min, u_max = _scan_limits(model)
+    if model.gamma < 1.0:
+        u0, t_lo, pieces = 0.0, u_min, []
+    else:
+        m_lo, m0 = solve_m_grid(model, [lo, 0.0])
+        u_lo, u0 = 1.0 / m_lo, 1.0 / m0
+        t_lo = 1e-8 * min(u0, model.sigma2 + model.gamma * model.spectrum.e_gh())
+        left = np.sort(np.concatenate([np.geomspace(u_lo, u0, math.ceil(_PER_DECADE * math.log10(u0 / u_lo)) + 1),
+                                       u0 - (u0 - u_lo) * np.geomspace(1.0, 1e-8, 8 * _PER_DECADE + 1)]))
+        pieces = [[m_lo], 1.0 / left[(left > u_lo) & (left < u0)], [m0]]
+    t_hi = u_max - u0
+    if t_hi > 0.0:  # else m(0) <= 1/u_max already
+        t_lo = min(t_lo, t_hi)
+        pieces.append(1.0 / (u0 + np.geomspace(t_lo, t_hi, math.ceil(_PER_DECADE * math.log10(t_hi / t_lo)) + 1)))
+    return np.concatenate(pieces)
+
+
+def _deriv_sums(model: ModelSpec, m: np.ndarray) -> np.ndarray:
+    parts = derivative_parts(model, m.ravel())
+    return (parts.part3 + parts.part4).reshape(m.shape)
+
+
+def _refine_roots(model: ModelSpec, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The root of the derivative sum ``S`` in every bracket ``lo < m < hi``
+    at once, where ``sign * S`` is positive at ``lo`` and nonpositive at
+    ``hi``: each step evaluates ``S`` at 15 inner points of every live
+    bracket in one array call and keeps the sixteenth where the sign first
+    changes, until the bracket is within 1e-14 relative; SolverError after
+    200 steps."""
+    t = np.linspace(0.0, 1.0, 17)
+    live = np.arange(lo.size)
+    for _ in range(_MAX_STEPS):
+        live = live[hi[live] - lo[live] > _M_RTOL * hi[live]]
+        if live.size == 0:
+            return 0.5 * (lo + hi)
+        grid = lo[live, None] + (hi - lo)[live, None] * t
+        grid[:, -1] = hi[live]
+        above = sign[live, None] * _deriv_sums(model, grid[:, 1:-1]) > 0.0
+        k = np.argmin(np.column_stack([above, np.zeros(live.size, dtype=bool)]), axis=1)  # S flips by k + 1
+        rows = np.arange(live.size)
+        lo[live], hi[live] = grid[rows, k], grid[rows, k + 1]
+    raise SolverError("root refinement did not reach tolerance", {"max_iter": _MAX_STEPS, "unconverged": live.size})
 
 
 def lambda_opt_search(model: ModelSpec) -> LambdaOptResult:
-    """Locate the risk-minimizing regularization by derivative sign scan.
+    """Locate the risk-minimizing regularization by derivative sign scan in ``m``.
 
-    Solves the fixed point on a 512-point grid with geometric resolution
-    near zero in one array solve, and evaluates the closed-form derivative
-    parts at all grid solutions at once.  Every sign change is refined by
-    bisection in ``m`` between the solutions at its two grid points, where
-    the derivative is closed form, so no further fixed-point solve is
-    needed; a root ``m*`` maps back to ``lam = lambda_of_m(m*)`` and its
-    risk is read off ``m*`` directly.  The result is the global risk
-    argmin over the roots (plus the exact ridgeless endpoint in the
-    underparameterized regime).  Falls back to golden section on the risk
-    when no sign change is bracketed.  When a closed form applies it is
-    the result: as is if it lies outside the search domain; inside, once
-    the search agrees with it to 1e-6 (a disagreement raises SolverError),
-    so a flat noiseless profile gets exactly 0, not the search's rounding.
+    Solves the fixed point only at the domain's negative end and at 0
+    (neither when ``gamma < 1``), and evaluates the closed-form derivative
+    parts over the whole ``m`` grid of :func:`_scan_grid` at once.  Every
+    sign change is refined in ``m`` (:func:`_refine_roots`), where the
+    derivative is closed form; a root ``m*`` maps back to
+    ``lam = lambda_of_m(m*)`` and its risk is read off ``m*`` directly.
+    The result is the global risk argmin over the roots, plus the exact
+    ridgeless endpoint when ``gamma < 1``; with no root the risk rises over
+    the whole domain and its lower end is taken.  An optimum beyond
+    ``lam = 1e150``, where the risk still falls at the end of the scan, is
+    a DomainError.  When a closed form applies it is the result, once the
+    search agrees with it to 1e-6 (a disagreement raises SolverError), so
+    a flat noiseless profile gets exactly 0, not the search's rounding.
     """
     lo, hi = regime_guard(model)
     closed = lambda_opt_closed_form(model)
-    if closed is not None and not lo <= closed.lambda_opt <= hi:
-        return closed
-    grid = _search_grid(lo, hi)
     underparam = model.gamma < 1.0
-    # the fixed point degenerates at the ridgeless endpoint, grid[0] = 0
-    m = solve_m_grid(model, grid[1:] if underparam else grid)
-    parts = derivative_parts(model, m)
-    derivs = parts.part3 + parts.part4
+    m = _scan_grid(model, lo)
+    derivs = _deriv_sums(model, m)
 
-    roots = []  # fixed-point solutions m at the derivative roots, in grid order
-    for k in np.flatnonzero((derivs[:-1] == 0.0) | (derivs[:-1] * derivs[1:] < 0.0)):
-        if derivs[k] == 0.0:
-            roots.append(float(m[k]))
-        else:
-            # m falls as lam rises; bisect wants f > 0 at the left (smaller) end
-            sign = math.copysign(1.0, derivs[k + 1])
-            roots.append(bisect(lambda t: sign * _deriv_sum(model, t), float(m[k + 1]), float(m[k]),
-                                _M_RTOL, _BISECT_MAX_ITER))
-    if derivs[-1] == 0.0:
-        roots.append(float(m[-1]))
+    # fixed-point solutions m at the derivative roots, in grid order; m falls
+    # as lam rises, so a bracket runs from m[k + 1] up to m[k]
+    signs = np.sign(derivs)
+    roots = np.where(signs == 0.0, m, np.nan)
+    k = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
+    roots[k] = _refine_roots(model, m[k + 1], m[k], signs[k + 1])
+    roots = roots[~np.isnan(roots)].tolist()
+    if derivs[-1] < 0.0:  # only where u_max was clipped to 1e150
+        raise DomainError("the risk still falls at m = 1e-150: the optimum lies beyond lam = 1e150")
+    # with no root the risk rises over the whole domain: its lower end wins
+    # (the ridgeless end, a candidate anyway, when gamma < 1)
+    ends = [] if roots or underparam else [float(m[0])]
 
-    candidates = [(ev.lam, ev.total, "derivative_root") for ev in risk_at_m(model, roots)]
+    evaluations = risk_at_m(model, roots + ends)
+    candidates = [(ev.lam, ev.total, "derivative_root" if i < len(roots) else "endpoint")
+                  for i, ev in enumerate(evaluations)]
     if underparam:
-        candidates.append((0.0, asymptotic_risk(model, 0.0).total, "golden_section"))
-    if not roots:
-        a = float(grid[1]) if underparam else lo
-        lam_g = golden_min(lambda t: asymptotic_risk(model, t).total, a, hi,
-                           _GOLDEN_RTOL, _GOLDEN_MAX_ITER, _GOLDEN_FLOOR)
-        candidates.append((lam_g, asymptotic_risk(model, lam_g).total, "golden_section"))
+        candidates.append((0.0, asymptotic_risk(model, 0.0).total, "endpoint"))
 
     candidates.sort(key=lambda c: c[1])
     lam_opt, risk_opt, method = candidates[0]
@@ -404,8 +490,8 @@ def select_weighting(wspec: WeightedSpectrum, mode: str) -> np.ndarray:
     and for the optimally tuned total risk).  ``ridgeless_variance``
     returns the flat profile ``r = 1`` (penalty proportional to the design
     covariance).  ``s_only_optimal`` is the best profile measurable from
-    the design alone: ``r = E[v | s] * s``, grouping eigenvalues within a
-    relative 1e-12.
+    the design alone: ``r = E[v | s] * s``, with the eigenvalue levels of
+    :func:`conditional_means`.
     """
     if mode not in _WEIGHTING_MODES:
         raise DomainError(f"unknown weighting mode {mode!r}; expected one of {_WEIGHTING_MODES}")
@@ -413,17 +499,9 @@ def select_weighting(wspec: WeightedSpectrum, mode: str) -> np.ndarray:
         return np.array(wspec.s * wspec.v)
     if mode == "ridgeless_variance":
         return np.ones_like(wspec.s)
-    order = np.argsort(wspec.s, kind="stable")
+    order, labels, _, means, _ = _levels(wspec.s, wspec.v, wspec.w)
     r = np.empty_like(wspec.s)
-    i = 0
-    svals, vvals, wvals = wspec.s[order], wspec.v[order], wspec.w[order]
-    while i < order.size:
-        j = i + 1
-        while j < order.size and abs(svals[j] - svals[i]) <= 1e-12 * max(1.0, abs(svals[i])):
-            j += 1
-        mean_v = float(np.dot(wvals[i:j], vvals[i:j])) / float(np.sum(wvals[i:j]))
-        r[order[i:j]] = svals[i:j] * mean_v
-        i = j
+    r[order] = wspec.s[order] * means[labels]
     return r
 
 

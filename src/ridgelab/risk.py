@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, RegimeError, SolverError
 from .spectra import ModelSpec, WeightedSpectrum, split_top_mass
-from .stieltjes import block_rows, lambda_of_m, solve_m, solve_m_rows, solve_m_theta
+from .stieltjes import block_rows, lambda_of_m, row_dot, solve_m, solve_m_rows, solve_m_theta
 
 # half-width of the rejected band around theta * gamma = 1, where the risk diverges
 _BOUNDARY_BAND = 1e-11
@@ -148,14 +148,14 @@ def _moments(model: ModelSpec, m: np.ndarray) -> tuple:
         np.reciprocal(inv, out=inv)  # 1 / (1 + zeta)
         frac *= inv  # zeta / (1 + zeta)
         np.multiply(frac, frac, out=tmp)
-        margin[rows] = 1.0 - model.gamma * (tmp @ w)
+        margin[rows] = 1.0 - model.gamma * row_dot(tmp, w)
         tmp *= inv
-        e_z2_c3[rows] = tmp @ w
+        e_z2_c3[rows] = row_dot(tmp, w)
         np.multiply(inv, inv, out=tmp)
         tmp *= gh
-        e_gh_c2[rows] = tmp @ w
+        e_gh_c2[rows] = row_dot(tmp, w)
         tmp *= frac
-        e_ghz_c3[rows] = tmp @ w
+        e_ghz_c3[rows] = row_dot(tmp, w)
     if np.any(margin <= 0.0):
         i = int(np.argmin(margin))
         raise SolverError("spectral margin vanished at the branch edge", {"m": float(m[i]), "margin": float(margin[i])})

@@ -36,7 +36,7 @@ from .errors import DomainError, RegimeError, SolverError
 from .spectra import ModelSpec, truncate_top
 
 
-# bisections stop at 1e-12 relative and give up after 200 steps
+# the edge is found to 1e-12 relative; iterations give up after 200 steps
 _TOL = 1e-12
 _MAX_ITER = 200
 
@@ -72,53 +72,6 @@ class EdgeInfo:
 
 
 # ---------------------------------------------------------------------------
-# scalar root finding and minimization
-# ---------------------------------------------------------------------------
-
-
-def bisect(f, lo: float, hi: float, rtol: float, max_iter: int, floor: float = 0.0) -> float:
-    """Midpoint of ``[lo, hi]`` after shrinking it around a sign change of ``f``.
-
-    ``f`` must be positive left of the root and nonpositive right of it.
-    Stops once ``hi - lo <= rtol * max(hi, -lo, floor)`` and raises
-    SolverError if that takes more than ``max_iter`` halvings.
-    """
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rtol * max(hi, -lo, floor):
-            return 0.5 * (lo + hi)
-    raise SolverError("bisection did not reach tolerance", {"lo": lo, "hi": hi, "max_iter": max_iter})
-
-
-def golden_min(f, a: float, b: float, rtol: float, max_iter: int, floor: float = 0.0) -> float:
-    """Golden-section minimum of a unimodal ``f`` on ``[a, b]``.
-
-    Same stop rule as :func:`bisect` on the shrinking interval, and the
-    same SolverError after ``max_iter`` steps.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a <= rtol * max(b, -a, floor):
-            return 0.5 * (a + b)
-    raise SolverError("golden section did not reach tolerance", {"a": a, "b": b, "max_iter": max_iter})
-
-
-# ---------------------------------------------------------------------------
 # expectation kernels
 # ---------------------------------------------------------------------------
 
@@ -140,7 +93,6 @@ def lambda_of_m(model: ModelSpec, m: float) -> float:
     return 1.0 / m - model.gamma * float(np.dot(w, h / scaled))
 
 
-@lru_cache(maxsize=512)
 def find_edge(model: ModelSpec) -> EdgeInfo:
     """Locate the endpoint of the principal branch.
 
@@ -149,9 +101,15 @@ def find_edge(model: ModelSpec) -> EdgeInfo:
     narrowed in ``log m``, so atoms hundreds of decades apart (``h = 1e-300``
     beside ``h = 1``) still bracket.  Requires ``gamma * P(h > 0) > 1``;
     below that the equation has no positive root and there is no
-    negative-ridge domain to map out.  Results are memoized per model
-    since every solve at the same aspect ratio shares the branch endpoint.
+    negative-ridge domain to map out.  Results are memoized per aspect
+    ratio and spectrum, whatever the noise level, since every solve at the
+    same aspect ratio shares the branch endpoint.
     """
+    return _edge(ModelSpec(model.gamma, 0.0, model.spectrum))
+
+
+@lru_cache(maxsize=512)
+def _edge(model: ModelSpec) -> EdgeInfo:
     spec = model.spectrum
     gp = model.gamma * spec.positive_mass()
     if gp <= 1.0:
@@ -167,13 +125,15 @@ def find_edge(model: ModelSpec) -> EdgeInfo:
     # hi, where every positive atom has hm/(1+hm) above 1/sqrt(gp)
     lo = 1.0 / float(spec.h.max()) / math.sqrt(model.gamma)
     hi = min(2.0 / spec.c_lower / (math.sqrt(gp) - 1.0), sys.float_info.max)
-    while hi > 2.0 * lo:  # the bracket may span hundreds of decades: halve it in log m first
-        mid = math.sqrt(lo) * math.sqrt(hi)
+    # bisection, in log m while the bracket spans more than a factor 2 (it may
+    # span hundreds of decades), to 1e-12 relative
+    while hi - lo > _TOL * hi:
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
         if gap(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    m_edge = bisect(gap, lo, hi, _TOL, _MAX_ITER)
+    m_edge = 0.5 * (lo + hi)
     c0_eff = -lambda_of_m(model, m_edge)
     c0_bound = (math.sqrt(model.gamma) - 1.0) ** 2 * spec.c_lower
     return EdgeInfo(m_edge=m_edge, c0_effective=c0_eff, c0_bound=c0_bound)
@@ -267,6 +227,12 @@ def block_rows(rows: int, atoms: int) -> int:
     return max(1, min(rows, _BLOCK_ELEMENTS // atoms))
 
 
+# ``a @ w`` one row at a time: the sum of a row depends on that row alone, so
+# a row of a grid gets the same bits as the row on its own (BLAS gemv rounds
+# a row differently with other rows beside it).  np.vecdot is numpy >= 2.
+row_dot = getattr(np, "vecdot", None) or (lambda a, w: np.einsum("ij,j->i", a, w))
+
+
 def solve_m_grid(model: ModelSpec, lams) -> np.ndarray:
     """Principal ``m`` at every ``lam`` of ``lams`` in one array solve.
 
@@ -338,9 +304,9 @@ def _newton_block(gamma, h, w, target, lo, hi, work, max_iter):
         np.multiply.outer(x, h, out=buf)
         buf += 1.0
         np.divide(h, buf, out=buf)  # h / (1 + h m)
-        gap = 1.0 / x - gamma * (buf @ w) - target
+        gap = 1.0 / x - gamma * row_dot(buf, w) - target
         buf *= buf
-        newton = x - gap / (gamma * (buf @ w) - 1.0 / (x * x))  # d lambda / dm < 0
+        newton = x - gap / (gamma * row_dot(buf, w) - 1.0 / (x * x))  # d lambda / dm < 0
         done = (np.abs(newton - x) <= _GRID_RTOL * x) | (hi - lo <= _GRID_RTOL * hi)
         out[rows[done]] = np.clip(newton, lo, hi)[done]
         if done.all():
@@ -372,8 +338,8 @@ def _companion_direct(model: ModelSpec, lams: np.ndarray) -> np.ndarray:
         lam, x = lams[rows], np.zeros(rows.size)
         for _ in range(_MAX_ITER):
             inv = 1.0 / (np.multiply.outer(1.0 - gamma + gamma * lam * x, h) + lam[:, None])
-            gap = inv @ w - x
-            slope = -gamma * lam * ((inv * inv * h) @ w) - 1.0
+            gap = row_dot(inv, w) - x
+            slope = -gamma * lam * row_dot(inv * inv * h, w) - 1.0
             edge = slope >= 0.0
             new = x - gap / np.where(edge, -1.0, slope)
             edge |= h.min() * (1.0 - gamma + gamma * lam * new) + lam <= 0.0  # at or past the pole

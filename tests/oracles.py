@@ -26,15 +26,26 @@ from ridgelab import (
     weighted_model,
 )
 from ridgelab.montecarlo import _DROP_GUARD, _NULLSPACE_CUTOFF
-from ridgelab.optimize import _GOLDEN_FLOOR, _GOLDEN_RTOL, _TIE_RTOL, _ZERO_ATOL, LambdaOptResult, _search_grid
-from ridgelab.stieltjes import (
-    _MAX_ITER,
-    _TOL,
-    StieltjesSolution,
-    _companion_direct,
-    bisect,
-    golden_min,
-)
+from ridgelab.optimize import _TIE_RTOL, _ZERO_ATOL, LambdaOptResult
+from ridgelab.stieltjes import _MAX_ITER, _TOL, StieltjesSolution, _companion_direct
+
+
+def bisect(f, lo: float, hi: float, rtol: float, max_iter: int, floor: float = 0.0) -> float:
+    """Midpoint of ``[lo, hi]`` after shrinking it around a sign change of ``f``.
+
+    ``f`` must be positive left of the root and nonpositive right of it.
+    Stops once ``hi - lo <= rtol * max(hi, -lo, floor)`` and raises
+    SolverError if that takes more than ``max_iter`` halvings.
+    """
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rtol * max(hi, -lo, floor):
+            return 0.5 * (lo + hi)
+    raise SolverError("bisection did not reach tolerance", {"lo": lo, "hi": hi, "max_iter": max_iter})
 
 
 def expand_bracket(f, x: float, factor: float, max_iter: int) -> tuple:
@@ -129,17 +140,79 @@ def alpha_path_state(wspec, gamma: float, sigma2: float, alpha: float, lam: floa
     return AlphaPath(alpha, tuple(float(r) for r in blended.r), tuple(float(p) for p in wspec.s * wspec.v * m))
 
 
+def loop_conditional_means(spectrum):
+    """``conditional_means`` one atom at a time in sorted order: an atom
+    joins the current level when its ``h`` lies within
+    1e-12 * max(1, |h|) of the level's first ``h``."""
+    order = np.argsort(spectrum.h, kind="stable")
+    levels, means, masses = [], [], []
+    for i in order:
+        h, g, w = float(spectrum.h[i]), float(spectrum.g[i]), float(spectrum.w[i])
+        if levels and abs(h - levels[-1]) <= 1e-12 * max(1.0, abs(h)):
+            means[-1] += w * g
+            masses[-1] += w
+        else:
+            levels.append(h)
+            means.append(w * g)
+            masses.append(w)
+    means = [m / w for m, w in zip(means, masses)]
+    return np.array(levels), np.array(means), np.array(masses)
+
+
+# The capped penalty grid of the scalar search: 512 points, geometric toward
+# 0 from both sides, up to lam_max = 100 (sigma2 + gamma E[g h]).
+_GRID_POINTS = 512
+# golden section on the risk stops at width <= 2e-11 * max(b, -a, 0.5): 1e-11
+# relative to |a| + |b| on a narrow interval, never below 1e-11 absolute
+_GOLDEN_RTOL, _GOLDEN_FLOOR = 2e-11, 0.5
+
+
+def _search_grid(lo: float, hi: float) -> np.ndarray:
+    """Sign-scan grid: geometric resolution toward 0 from both sides."""
+    if lo < 0.0:
+        neg = -np.geomspace(-lo, -lo * 1e-8, _GRID_POINTS - 342)
+        pos = np.geomspace(hi * 1e-10, hi, 341)
+        return np.concatenate([neg, [0.0], pos])
+    return np.concatenate([[0.0], np.geomspace(hi * 1e-10, hi, _GRID_POINTS - 1)])
+
+
+def golden_min(f, a: float, b: float, rtol: float, max_iter: int, floor: float = 0.0) -> float:
+    """Golden-section minimum of a unimodal ``f`` on ``[a, b]``: stops once
+    ``b - a <= rtol * max(b, -a, floor)``, SolverError after ``max_iter``
+    steps."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+        if b - a <= rtol * max(b, -a, floor):
+            return 0.5 * (a + b)
+    raise SolverError("golden section did not reach tolerance", {"a": a, "b": b, "max_iter": max_iter})
+
+
 def _deriv_sum(model: ModelSpec, lam: float) -> float:
     parts = risk_derivative(model, lam)
     return parts.part3 + parts.part4
 
 
 def scalar_lambda_opt_search(model: ModelSpec) -> LambdaOptResult:
-    """The optimum search with one scalar fixed-point solve per grid point
-    and per bisection step in ``lam``: the same grid, roots, fallback and
-    decisions as ``lambda_opt_search``, which solves the grid as one array
-    and refines the roots in ``m``."""
-    lo, hi = regime_guard(model)
+    """The optimum search over a capped ``lam`` grid, with one scalar
+    fixed-point solve per grid point and per bisection step in ``lam``,
+    and a golden section on the risk when no sign change is bracketed
+    (``method="golden_section"``, also the label of the ridgeless
+    endpoint when ``gamma < 1``).  Its ``domain`` is ``(lo, lam_max)``.
+    ``lambda_opt_search`` scans the whole domain in ``m`` instead; where
+    this search finds an interior root the two agree."""
+    lo = regime_guard(model)[0]
+    hi = 100.0 * (model.sigma2 + model.gamma * model.spectrum.e_gh())
     grid = _search_grid(lo, hi)
     underparam = model.gamma < 1.0
 

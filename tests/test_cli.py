@@ -239,6 +239,16 @@ class TestCurves:
         _, rows = parse_csv(out)
         assert (code, float(rows[0][0]), rows[0][3]) == (0, 1000.0, "closed_form")
 
+    def test_clipped_optimum_row(self, capsys) -> None:
+        spectrum = json.dumps([[1e-8, 1e8, 0.5], [1e8, 1e-8, 0.5]])
+        code, out = run(capsys, ["lambda-opt", "--gamma", "2", "--spectrum", spectrum, "--sigma2", "0"])
+        cols, rows = parse_csv(out)
+        row = dict(zip(cols, rows[0]))
+        assert code == 0
+        assert float(row["lambda_opt"]) == pytest.approx(1e8, rel=1e-8)
+        assert float(row["risk_at_opt"]) == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, rel=1e-10)
+        assert (row["method"], row["sign_class"], row["domain_hi"]) == ("derivative_root", "positive", "inf")
+
     def test_lambda_opt_row(self, capsys) -> None:
         code, out = run(
             capsys,

@@ -25,9 +25,12 @@ from ridgelab import (
     point_mass,
     recipe_spectrum,
     regime_guard,
+    risk_curve,
     select_weighting,
     weighted_lambda_opt,
 )
+
+from oracles import loop_conditional_means
 
 ALIGNED = JointSpectrum([(1.0, 1.0, 0.75), (5.0, 5.0, 0.25)])
 MISALIGNED = JointSpectrum([(1.0, 5.0, 0.75), (5.0, 1.0, 0.25)])
@@ -46,6 +49,25 @@ class TestConditionalMeans:
         spec = JointSpectrum([(5.0, 1.0, 0.3), (0.5, 2.0, 0.4), (2.0, 3.0, 0.3)])
         levels, _, _ = conditional_means(spec)
         assert list(levels) == sorted(levels)
+
+    # near ties: a chain 1, 1 + 6e-13, 1 + 1.2e-12 longer than one level;
+    # absolute ties below 1; relative ties at 1e6; exact repeats
+    NEAR_TIED = [1.0, 1.0 + 6e-13, 1.0 + 1.2e-12, 1.0 + 1.8e-12, 1.0 + 3e-12, 1e-13, 5e-13, 1.2e-12,
+                 1e6, 1e6 * (1.0 + 9e-13), 1e6 * (1.0 + 1.1e-12), 2.0, 2.0, 2.0 + 4e-12, 3.0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_loop_on_near_tied_levels(self, seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        h = rng.permutation(self.NEAR_TIED)
+        w = rng.uniform(0.1, 1.0, h.size)
+        spec = JointSpectrum(np.column_stack([h, rng.uniform(0.0, 3.0, h.size), w / w.sum()]))
+        for got, want in zip(conditional_means(spec), loop_conditional_means(spec)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_matches_the_loop_on_a_recipe(self) -> None:
+        spec = recipe_spectrum("ct-ct", relation="random", n_atoms=2048)
+        for got, want in zip(conditional_means(spec), loop_conditional_means(spec)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestClassifySign:
@@ -145,9 +167,9 @@ class TestSearch:
         assert out.lambda_opt > out.domain[0]
 
     def test_flat_signal_above_the_cap_returns_the_closed_form(self) -> None:
-        # sigma2 / E[g] = 1000 lies above lam_max = 100 (sigma2 + gamma E[gh]) = 100.2
+        # sigma2 / E[g] = 1000 lies far above the scale sigma2 + gamma E[gh] = 1.002
         out = lambda_opt_search(ModelSpec(2.0, 1.0, point_mass(1.0, 0.001)))
-        assert out.domain[1] == pytest.approx(100.2)
+        assert out.domain[1] == math.inf
         assert out.lambda_opt == pytest.approx(1000.0, rel=1e-12)
         assert (out.method, out.sign_class) == ("closed_form", "positive")
 
@@ -166,22 +188,66 @@ class TestSearch:
             with pytest.raises(DomainError, match="not finite without signal"):
                 search(model)
 
-    def test_no_fixed_point_solve_per_grid_point(self, monkeypatch) -> None:
-        # the scan is one array solve and the roots are refined in m; a
-        # scalar solve per grid point would make over 500 calls
-        calls = []
-        original = stieltjes.solve_m
+    def test_clipped_optimum_far_above_the_scale(self) -> None:
+        # the optimum lam = 1e8 lies 7 decades above sigma2 + gamma E[gh] = 2;
+        # its risk is the golden ratio
+        spec = JointSpectrum([(1e-8, 1e8, 0.5), (1e8, 1e-8, 0.5)])
+        out = lambda_opt_search(ModelSpec(2.0, 0.0, spec))
+        assert out.lambda_opt == pytest.approx(1e8, rel=1e-8)
+        assert out.risk_at_opt == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, rel=1e-10)
+        assert (out.method, out.sign_class, out.domain[1]) == ("derivative_root", "positive", math.inf)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+    @pytest.mark.parametrize("atoms, gamma, window", [
+        # E[g h] ~ 2.5e5 puts 1e-8 (sigma2 + gamma E[g h]) far above the optimum
+        ([(4.65e-6, 1792.0, 0.325), (5.67e5, 5.3, 0.084), (7.4e-7, 0.0455, 0.144),
+          (1.49e-8, 3075.0, 0.21), (6.6e-4, 0.0, 0.061), (3.59e-4, 0.0, 0.176)], 1.1, (1e-7, 1e-6)),
+        ([(1e-8, 0.0, 0.5), (1e6, 1e3, 0.5)], 0.5, (1e-5, 1e-3)),
+    ])
+    def test_optimum_far_below_the_scale(self, atoms, gamma: float, window) -> None:
+        model = ModelSpec(gamma, 1e-3, JointSpectrum(atoms))
+        out = lambda_opt_search(model)
+        lams = np.geomspace(1e-10, 1e-1, 3000)
+        assert out.risk_at_opt <= min(ev.total for ev in risk_curve(model, lams)) * (1.0 + 1e-12)
+        assert window[0] < out.lambda_opt < window[1]
+        assert (out.method, out.sign_class) == ("derivative_root", "positive")
 
+    def test_ridgeless_endpoint_has_its_own_method(self) -> None:
+        # noiseless below gamma = 1: interpolation reaches risk 0 at lam = 0
+        out = lambda_opt_search(ModelSpec(0.5, 0.0, ALIGNED))
+        assert (out.lambda_opt, out.risk_at_opt) == (0.0, 0.0)
+        assert (out.method, out.sign_class, out.domain) == ("endpoint", "zero", (0.0, math.inf))
+
+    def test_optimum_beyond_the_scan_is_a_domain_error(self) -> None:
+        # the optimum is near sigma2 / E[g] ~ 1e160, past lam = 1e150
+        with pytest.raises(DomainError, match="beyond lam = 1e150"):
+            lambda_opt_search(ModelSpec(2.0, 1e160, ALIGNED))
+
+    @pytest.mark.parametrize("model", [
+        ModelSpec(2.0, 0.0, recipe_spectrum("fig4-twopoint", alpha=1.0)),
+        ModelSpec(4.0, 0.5, recipe_spectrum("ct-dc", relation="aligned", n_atoms=256)),
+        ModelSpec(0.5, 0.3, ALIGNED),
+        ModelSpec(0.5, 0.0, ALIGNED),
+    ])
+    def test_one_grid_solve_of_at_most_two_rows(self, monkeypatch, model) -> None:
+        # the scan runs in m: the fixed point is solved at lam = lo and 0 at
+        # most, in one call, and nowhere else
+        calls = {"solve_m_grid": [], "solve_m": [], "solve_m_rows": []}
+
+        def counted(name, original):
+            def wrapper(model, lams):
+                calls[name].append(len(lams) if name != "solve_m" else 1)
+                return original(model, lams)
+            return wrapper
+
+        wrappers = {name: counted(name, getattr(stieltjes, name)) for name in calls}
         for module in (stieltjes, risk, optimize):
-            if getattr(module, "solve_m", None) is original:
-                monkeypatch.setattr(module, "solve_m", counted)
-        out = lambda_opt_search(ModelSpec(2.0, 0.0, recipe_spectrum("fig4-twopoint", alpha=1.0)))
-        assert out.method == "derivative_root"
-        assert len(calls) <= 5
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrappers[name])
+        out = lambda_opt_search(model)
+        assert out.method in ("derivative_root", "endpoint")
+        assert calls["solve_m_grid"] == ([2] if model.gamma > 1.0 else [])
+        assert calls["solve_m"] == calls["solve_m_rows"] == []
 
 
 class TestRegimeGuard:
@@ -276,6 +342,15 @@ class TestSelectWeighting:
         )
         r = select_weighting(wspec, "s_only_optimal")
         assert r == pytest.approx([2.0, 2.0, 10.0])
+
+    def test_design_measurable_profile_uses_the_levels_of_conditional_means(self) -> None:
+        rng = np.random.default_rng(7)
+        s = rng.permutation(TestConditionalMeans.NEAR_TIED)
+        w = rng.uniform(0.1, 1.0, s.size)
+        wspec = WeightedSpectrum(np.column_stack([s, rng.uniform(0.5, 3.0, s.size), np.ones(s.size), w / w.sum()]))
+        levels, means, _ = loop_conditional_means(JointSpectrum(np.column_stack([wspec.s, wspec.v, wspec.w])))
+        level = np.searchsorted(levels, wspec.s, side="right") - 1
+        np.testing.assert_array_equal(select_weighting(wspec, "s_only_optimal"), wspec.s * means[level])
 
     def test_unknown_mode(self) -> None:
         with pytest.raises(DomainError):

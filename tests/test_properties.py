@@ -3,9 +3,10 @@
 The reference ``m`` comes from a 40-digit ``mpmath`` bisection that finds
 its own branch edge and brackets.  The ``lambda`` residual is asserted
 relative to the terms that cancel in it, ``max(|lambda|, 1/|m|)``.  The
-optimum search is checked against the scalar search of
-``tests/oracles.py``, and each row of a risk curve against the risk at
-its point alone.
+optimum search is checked against the capped scalar search of
+``tests/oracles.py`` where that search's optimum is interior, and against
+a dense penalty grid out to 1e12 everywhere.  Each row of a risk curve is
+checked against the risk at its point alone.
 """
 
 from __future__ import annotations
@@ -147,9 +148,25 @@ def search_problems(draw):
 @given(search_problems())
 def test_search_matches_the_scalar_search(model) -> None:
     out, ref = lambda_opt_search(model), scalar_lambda_opt_search(model)
-    assert (out.method, out.sign_class, out.domain) == (ref.method, ref.sign_class, ref.domain)
+    assert out.domain == (ref.domain[0], math.inf)
+    if ref.method == "golden_section":  # the capped search's optimum is not interior
+        assert out.risk_at_opt <= ref.risk_at_opt * (1.0 + 1e-10)
+        return
+    assert (out.method, out.sign_class) == (ref.method, ref.sign_class)
     assert abs(out.lambda_opt - ref.lambda_opt) <= 1e-10 * max(1.0, abs(ref.lambda_opt))
     assert abs(out.risk_at_opt - ref.risk_at_opt) <= 1e-10 * ref.risk_at_opt
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(search_problems())
+def test_search_beats_a_dense_grid_out_to_1e12(model) -> None:
+    out = lambda_opt_search(model)
+    lo = out.domain[0]
+    lams = np.geomspace(1e-10, 1e12, 800)
+    if lo < 0.0:  # 200 points toward 0 from the domain's negative end
+        lams = np.concatenate([-np.geomspace(-lo, -lo * 1e-10, 200), lams])
+    risks = [ev.total for ev in risk_curve(model, lams)]
+    assert out.risk_at_opt <= min(risks) * (1.0 + 1e-12), (out, lams[int(np.argmin(risks))])
 
 
 @st.composite

@@ -125,6 +125,18 @@ class TestSolveMGrid:
                 continue  # the companion route's domain
             assert solve_m(model, lam).m == solve_m_grid(model, [lam])[0]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_row_is_its_one_row_solve(self, seed: int) -> None:
+        # near the edge with gamma near 1, m is fixed to only ~1e-13, so a row
+        # matches its solve alone only if no sum mixes in the other rows
+        rng = np.random.default_rng(seed)
+        h, w = 10.0 ** rng.uniform(-3, 3, 7), rng.uniform(0.05, 1.0, 7)
+        model = ModelSpec(1.03, 0.0, JointSpectrum(np.column_stack([h, np.ones(7), w / w.sum()])))
+        c0 = find_edge(model).c0_effective
+        lams = np.concatenate([-c0 * np.array([0.999, 0.99, 0.5]), 10.0 ** rng.uniform(-4, 3, 14)])
+        rows = solve_m_grid(model, lams)
+        assert rows.tolist() == [solve_m_grid(model, [lam])[0] for lam in lams]
+
     @pytest.mark.parametrize("gamma, lam", [(2.0, -0.5), (0.5, 0.0), (0.5, -0.01)])
     def test_outside_the_domain(self, gamma: float, lam: float) -> None:
         with pytest.raises(DomainError):
@@ -149,6 +161,11 @@ class TestFindEdge:
         spec = JointSpectrum([(0.5, 1.0, 0.25), (1.5, 1.0, 0.5), (4.0, 1.0, 0.25)])
         edge = find_edge(ModelSpec(gamma, 0.0, spec))
         assert edge.c0_effective >= edge.c0_bound - 1e-12
+
+    def test_shared_across_noise_levels(self) -> None:
+        # the edge does not depend on sigma2, so one memoized entry serves all
+        spec = JointSpectrum([(0.5, 1.0, 0.25), (1.5, 1.0, 0.5), (4.0, 1.0, 0.25)])
+        assert find_edge(ModelSpec(2.0, 0.1, spec)) is find_edge(ModelSpec(2.0, 0.7, spec))
 
     def test_requires_overparameterized_mass(self) -> None:
         with pytest.raises(RegimeError):
