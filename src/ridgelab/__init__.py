@@ -68,7 +68,6 @@ from .spectra import (
     relate,
     split_top_mass,
     spectrum_from_json,
-    truncate_top,
 )
 from .stieltjes import (
     find_edge,
@@ -133,7 +132,6 @@ __all__ = [
     "solve_m_theta",
     "spectrum_from_json",
     "split_top_mass",
-    "truncate_top",
     "weighted_lambda_opt",
     "weighted_model",
     "weighted_risk",

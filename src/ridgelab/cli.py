@@ -12,6 +12,7 @@ byte-identical.  Exit codes: 0 success, 1 usage error, 2 domain error
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -429,9 +430,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+# built at the first call of main and reused after it: parsing leaves a parser unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         result = args.func(args)
         if result is not None:

@@ -341,7 +341,8 @@ def lambda_opt_search(model: ModelSpec) -> LambdaOptResult:
     the whole domain and its lower end is taken.  An optimum beyond
     ``lam = 1e150``, where the risk still falls at the end of the scan, is
     a DomainError.  When a closed form applies it is the result, once the
-    search agrees with it to 1e-6 (a disagreement raises SolverError), so
+    search agrees with it to 1e-6, or to the precision of ``lambda(m)`` where
+    that is coarser (a disagreement raises SolverError), so
     a flat noiseless profile gets exactly 0, not the search's rounding.
     """
     lo, hi = regime_guard(model)
@@ -384,7 +385,9 @@ def lambda_opt_search(model: ModelSpec) -> LambdaOptResult:
     else:
         sign = "negative" if lam_opt < 0.0 else "positive"
 
-    if closed is not None and abs(closed.lambda_opt - lam_opt) > 1e-6 * max(1.0, abs(closed.lambda_opt)):
+    # lambda(m) cancels terms up to |lam| + gamma E[h]: a root refined in m fixes lam to about 1e-14 of that
+    tol = 1e-14 * (abs(lam_opt) + model.gamma * float(np.dot(model.spectrum.w, model.spectrum.h)))
+    if closed is not None and abs(closed.lambda_opt - lam_opt) > max(1e-6 * max(1.0, abs(closed.lambda_opt)), tol):
         raise SolverError(
             "search disagrees with the applicable closed form",
             {"search": lam_opt, "closed_form": closed.lambda_opt},

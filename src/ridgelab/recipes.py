@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .optimize import lambda_opt_search
-from .risk import pcr_risk, risk_curve, weighted_model
+from .risk import pcr_curve, risk_curve, weighted_model
 from .spectra import (
     ClippedSquareNormal,
     JointSpectrum,
@@ -305,10 +305,8 @@ def _fig7_pcr_table():
     rows = []
     for key in ("fig7-aligned", "fig7-misaligned", "fig7-other"):
         spec = recipe_spectrum(key)
-        model = ModelSpec.with_snr(5.0, 50.0, spec)
-        for theta in thetas:
-            ev = pcr_risk(model, float(theta))
-            rows.append((key.removeprefix("fig7-"), float(theta), ev.total, ev.bias, ev.variance))
+        curve = pcr_curve(ModelSpec.with_snr(5.0, 50.0, spec), thetas)
+        rows += [(key.removeprefix("fig7-"), float(t), ev.total, ev.bias, ev.variance) for t, ev in zip(thetas, curve)]
     return columns, rows
 
 

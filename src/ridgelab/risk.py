@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, RegimeError, SolverError
 from .spectra import ModelSpec, WeightedSpectrum, split_top_mass
-from .stieltjes import block_rows, lambda_of_m, row_dot, solve_m, solve_m_rows, solve_m_theta
+from .stieltjes import block_rows, lambda_of_m, row_dot, solve_m, solve_m_rows, solve_m_thetas
 
 # half-width of the rejected band around theta * gamma = 1, where the risk diverges
 _BOUNDARY_BAND = 1e-11
@@ -131,31 +131,33 @@ def derivative_parts(model: ModelSpec, m: np.ndarray) -> DerivativeParts:
     return DerivativeParts(part3=part3, part4=part4, prefactor=2.0 * model.gamma * m / margin**2)
 
 
-def _moments(model: ModelSpec, m: np.ndarray) -> tuple:
+def _moments(model: ModelSpec, m: np.ndarray, w: np.ndarray | None = None) -> tuple:
     """``(M, E[zeta^2/(1+zeta)^3], E[g h/(1+zeta)^2], E[g h zeta/(1+zeta)^3])``
     at every ``m`` (``zeta = h m``, margin ``M = 1 - gamma E[zeta^2/(1+zeta)^2]``)
-    in blocks of rows; SolverError where ``M <= 0``, at the branch edge."""
+    in blocks of rows, under the atom weights or under ``w[i]`` at ``m[i]``;
+    SolverError where ``M <= 0``, at the branch edge."""
     spec = model.spectrum
-    h, w, gh = spec.h, spec.w, spec.g * spec.h
+    h, w, gh = spec.h, spec.w if w is None else w, spec.g * spec.h
     margin, e_z2_c3, e_gh_c2, e_ghz_c3 = (np.empty_like(m) for _ in range(4))
     step = block_rows(m.size, h.size)
     buffers = [np.empty((step, h.size)) for _ in range(3)]  # reused by every block
     for i in range(0, m.size, step):
         rows = slice(i, i + step)
         frac, inv, tmp = (b[: m[rows].size] for b in buffers)
+        wr = w[rows] if w.ndim == 2 else w
         np.multiply.outer(m[rows], h, out=frac)  # zeta = h m
         np.add(frac, 1.0, out=inv)
         np.reciprocal(inv, out=inv)  # 1 / (1 + zeta)
         frac *= inv  # zeta / (1 + zeta)
         np.multiply(frac, frac, out=tmp)
-        margin[rows] = 1.0 - model.gamma * row_dot(tmp, w)
+        margin[rows] = 1.0 - model.gamma * row_dot(tmp, wr)
         tmp *= inv
-        e_z2_c3[rows] = row_dot(tmp, w)
+        e_z2_c3[rows] = row_dot(tmp, wr)
         np.multiply(inv, inv, out=tmp)
         tmp *= gh
-        e_gh_c2[rows] = row_dot(tmp, w)
+        e_gh_c2[rows] = row_dot(tmp, wr)
         tmp *= frac
-        e_ghz_c3[rows] = row_dot(tmp, w)
+        e_ghz_c3[rows] = row_dot(tmp, wr)
     if np.any(margin <= 0.0):
         i = int(np.argmin(margin))
         raise SolverError("spectral margin vanished at the branch edge", {"m": float(m[i]), "margin": float(margin[i])})
@@ -163,42 +165,44 @@ def _moments(model: ModelSpec, m: np.ndarray) -> tuple:
 
 
 def pcr_risk(model: ModelSpec, theta: float) -> RiskEvaluation:
-    """Risk of ridgeless regression on the top-``theta`` eigenvalue mass.
-
-    Both regimes are served; the boundary band
-    ``|theta * gamma - 1| < 1e-11`` is rejected because the risk diverges
-    there.  In the overparameterized regime the evaluation runs the
-    grouped form (retained and dropped mass summed separately).
-    """
-    if not (0.0 < theta <= 1.0):
-        raise DomainError(f"theta must lie in (0, 1], got {theta!r}")
-    tg = theta * model.gamma
-    if abs(tg - 1.0) < _BOUNDARY_BAND:
-        raise RegimeError(f"theta * gamma = {tg!r} sits in the divergent boundary band")
-    h, g, w_kept, w_dropped = split_top_mass(model.spectrum, theta)
-    gh = g * h
-    if tg > 1.0:
-        sol = solve_m_theta(model, theta)
-        pref = sol.m_prime / sol.m**2
-        kept_term = model.gamma * float(np.dot(w_kept, gh / (1.0 + h * sol.m) ** 2))
-        dropped_term = model.gamma * float(np.dot(w_dropped, gh))
-        bias = pref * (kept_term + dropped_term)
-        variance = model.sigma2 * pref
-    else:
-        bias = model.gamma * float(np.dot(w_dropped, gh)) / (1.0 - tg)
-        variance = model.sigma2 / (1.0 - tg)
-    return RiskEvaluation(lam=0.0, total=bias + variance, bias=bias, variance=variance)
+    """Risk of ridgeless regression on the top-``theta`` eigenvalue mass: the
+    one-point case of :func:`pcr_curve`, raising the DomainError (or
+    RegimeError) of a point outside the domain."""
+    (row,) = pcr_curve(model, [theta])
+    if isinstance(row, DomainError):
+        raise row
+    return row
 
 
 def pcr_curve(model: ModelSpec, thetas) -> list:
     """Truncated-regression risk at every retained mass of ``thetas``; a point
-    outside the domain gets its DomainError in place, as in :func:`risk_curve`."""
-    out = []
-    for theta in thetas:
-        try:
-            out.append(pcr_risk(model, float(theta)))
-        except DomainError as exc:
-            out.append(exc)
+    outside the domain gets its DomainError in place, as in :func:`risk_curve`.
+    The divergent band ``|theta * gamma - 1| < 1e-11`` is a RegimeError.  Every
+    ``theta * gamma > 1`` comes from one :func:`solve_m_thetas` call and one
+    closed-form kernel under the kept weights, with the dropped mass apart."""
+    thetas = np.asarray(thetas, dtype=float)
+    gamma, sigma2, spec = model.gamma, model.sigma2, model.spectrum
+    gh = spec.g * spec.h
+    out = [None] * thetas.size
+    for i, theta in enumerate(thetas.tolist()):
+        tg = theta * gamma
+        if not (0.0 < theta <= 1.0):
+            out[i] = DomainError(f"theta must lie in (0, 1], got {theta!r}")
+        elif abs(tg - 1.0) < _BOUNDARY_BAND:
+            out[i] = RegimeError(f"theta * gamma = {tg!r} sits in the divergent boundary band")
+        elif tg < 1.0:
+            bias = gamma * float(np.dot(split_top_mass(spec, theta)[3], gh)) / (1.0 - tg)
+            variance = sigma2 / (1.0 - tg)
+            out[i] = RiskEvaluation(lam=0.0, total=bias + variance, bias=bias, variance=variance)
+    rows = np.flatnonzero([row is None for row in out])
+    m, kept, errors = solve_m_thetas(model, thetas[rows])
+    solved = np.array([error is None for error in errors], dtype=bool)
+    margin, _, e_gh_c2, _ = _moments(model, m[solved], kept[solved])
+    dropped = row_dot(np.maximum(spec.w - kept[solved], 0.0), gh)
+    bias, variance = (gamma * (e_gh_c2 + dropped) / margin).tolist(), (sigma2 / margin).tolist()
+    evaluations = iter(RiskEvaluation(lam=0.0, total=b + v, bias=b, variance=v) for b, v in zip(bias, variance))
+    for i, error in zip(rows, errors):
+        out[i] = error or next(evaluations)
     return out
 
 

@@ -42,14 +42,14 @@ class JointSpectrum:
 
     Immutable after construction.  Weights must be positive and sum to one
     within 1e-12.  All ``h`` must be strictly positive unless the spectrum
-    was produced by :func:`truncate_top`, which parks removed mass at
-    ``h = 0`` (flagged via ``truncated=True``).
+    is flagged ``truncated=True``: a truncation parks removed mass at
+    ``h = 0``.
     """
 
     __slots__ = ("h", "g", "w", "truncated", "_hash")
 
     def __init__(self, atoms, truncated: bool = False):
-        arr = np.asarray(list(atoms), dtype=float)
+        arr = np.array(atoms if isinstance(atoms, np.ndarray) else list(atoms), dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
             raise ValueError("atoms must be a non-empty list of (h, g, weight) triples")
         if not np.all(np.isfinite(arr)):
@@ -133,14 +133,17 @@ class JointSpectrum:
     def merged(self, tol: float = 1e-12) -> "JointSpectrum":
         """Coalesce atoms whose (h, g) pairs agree within ``tol``."""
         order = np.lexsort((self.g, self.h))
-        out: list[list[float]] = []
-        for i in order:
-            hi, gi, wi = float(self.h[i]), float(self.g[i]), float(self.w[i])
-            if out and abs(out[-1][0] - hi) <= tol and abs(out[-1][1] - gi) <= tol:
-                out[-1][2] += wi
-            else:
-                out.append([hi, gi, wi])
-        return JointSpectrum(out, truncated=self.truncated)
+        h, g, w = self.h[order], self.g[order], self.w[order]
+        # an atom joins its group when within tol of the group's first atom (its
+        # anchor) in h and g; if no gap lies in (0, tol], groups are runs of copies
+        start = np.concatenate([[True], (h[1:] != h[:-1]) | (g[1:] != g[:-1])])
+        if np.any(start[1:] & (np.abs(np.diff(h)) <= tol) & (np.abs(np.diff(g)) <= tol)):
+            anchor = 0
+            for i in range(1, h.size):
+                start[i] = abs(h[i] - h[anchor]) > tol or abs(g[i] - g[anchor]) > tol
+                anchor = i if start[i] else anchor
+        masses = np.bincount(np.cumsum(start) - 1, weights=w)  # summed in sorted order, one atom at a time
+        return JointSpectrum(np.column_stack([h[start], g[start], masses]), truncated=self.truncated)
 
     # -- serialization ---------------------------------------------------
 
@@ -178,7 +181,7 @@ class WeightedSpectrum:
     __slots__ = ("s", "v", "r", "w", "_hash")
 
     def __init__(self, atoms):
-        arr = np.asarray(list(atoms), dtype=float)
+        arr = np.array(atoms if isinstance(atoms, np.ndarray) else list(atoms), dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 4 or arr.shape[0] == 0:
             raise ValueError("atoms must be a non-empty list of (s, v, r, weight) quadruples")
         if not np.all(np.isfinite(arr)):
@@ -349,7 +352,7 @@ class ShiftedAbsNormal:
 
     def quantile(self, q):
         q = np.asarray(q, dtype=float)
-        half = np.array([_STD_NORMAL.inv_cdf((1.0 + qi) / 2.0) for qi in np.atleast_1d(q)])
+        half = np.array([_STD_NORMAL.inv_cdf((1.0 + qi) / 2.0) for qi in np.atleast_1d(q).tolist()])
         return self.shift + half.reshape(q.shape)
 
 
@@ -363,7 +366,7 @@ class ShiftedInvAbsNormal:
         q = np.asarray(q, dtype=float)
         # 1/|Z| is a decreasing map of |Z|, so its q-quantile uses the
         # (1-q)-quantile of |Z|.
-        half = np.array([_STD_NORMAL.inv_cdf((2.0 - qi) / 2.0) for qi in np.atleast_1d(q)])
+        half = np.array([_STD_NORMAL.inv_cdf((2.0 - qi) / 2.0) for qi in np.atleast_1d(q).tolist()])
         return self.shift + 1.0 / half.reshape(q.shape)
 
 
@@ -375,7 +378,7 @@ class ClippedSquareNormal:
 
     def quantile(self, q):
         q = np.asarray(q, dtype=float)
-        half = np.array([_STD_NORMAL.inv_cdf((1.0 + qi) / 2.0) for qi in np.atleast_1d(q)])
+        half = np.array([_STD_NORMAL.inv_cdf((1.0 + qi) / 2.0) for qi in np.atleast_1d(q).tolist()])
         return np.minimum(half.reshape(q.shape) ** 2 + 1.0, self.cap)
 
 
@@ -473,20 +476,3 @@ def split_top_mass(spectrum: JointSpectrum, theta: float):
     w_dropped = w - w_kept
     return h.copy(), g.copy(), w_kept, np.maximum(w_dropped, 0.0)
 
-
-def truncate_top(spectrum: JointSpectrum, theta: float) -> JointSpectrum:
-    """Keep the top-``theta`` eigenvalue mass; park the rest at ``h = 0``.
-
-    Models projecting data onto the leading principal subspace: dropped
-    directions keep their signal energy (it becomes approximation error)
-    but contribute nothing to the design.  The boundary atom is split
-    proportionally so the retained mass is exactly ``theta``.
-    """
-    h, g, w_kept, w_dropped = split_top_mass(spectrum, theta)
-    atoms = []
-    for hi, gi, wk, wd in zip(h, g, w_kept, w_dropped):
-        if wk > 0:
-            atoms.append((hi, gi, wk))
-        if wd > 0:
-            atoms.append((0.0, gi, wd))
-    return JointSpectrum(atoms, truncated=True)

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, RegimeError, SolverError
-from .spectra import ModelSpec, truncate_top
+from .spectra import ModelSpec, split_top_mass
 
 
 # the edge is found to 1e-12 relative; iterations give up after 200 steps
@@ -190,21 +190,53 @@ def solve_m_rows(model: ModelSpec, lams) -> tuple:
 
 
 def solve_m_theta(model: ModelSpec, theta: float) -> StieltjesSolution:
-    """Ridgeless trace fixed point after keeping the top-``theta`` mass.
+    """Ridgeless trace fixed point after keeping the top-``theta`` mass: the
+    one-row case of :func:`solve_m_thetas`, raising its row's error."""
+    (m,), (kept,), (error,) = solve_m_thetas(model, [theta])
+    if error is not None:
+        raise error
+    h, m = model.spectrum.h, float(m)
+    t = h / (1.0 + h * m)
+    return StieltjesSolution(lam=0.0, m=m, m_prime=1.0 / (1.0 / (m * m) - model.gamma * float(np.dot(kept, t * t))),
+                             residual=abs(1.0 / m - model.gamma * float(np.dot(kept, t))) * m)
 
-    Truncates the spectrum (removed mass parked at ``h = 0``, expectations
-    keep full-mass normalization) and solves at ``lam = 0``.  Requires
-    ``theta * gamma > 1`` so the retained problem is still
-    overparameterized; otherwise the ridgeless trace has no positive
-    solution and a RegimeError is raised.
+
+def solve_m_thetas(model: ModelSpec, thetas) -> tuple:
+    """``(m, kept, errors)``: the ridgeless trace fixed point after keeping the
+    top-``theta`` mass, at every ``theta`` of ``thetas`` in one kernel call
+    whose rows are the kept weights ``kept[i]`` of :func:`split_top_mass`.
+    ``errors[i]`` is None, or the RegimeError of ``theta * gamma <= 1`` or the
+    DomainError of a ``theta`` outside (0, 1] or whose bracket leaves
+    ``(1e-154, 1e154)``, where ``m[i]`` is NaN.
+
+    The root solves ``F(m) = gamma E_theta[hm/(1+hm)] = 1``, and ``F`` rises
+    from 0 to ``gamma theta_+`` (the kept mass on ``h > 0``).  As
+    ``cm/(1+cm) <= hm/(1+hm) < hm`` for every kept ``h >= c > 0``, the
+    smallest, ``F < 1`` at ``lo = 1/(gamma E_theta[h])`` and ``F >= 1`` at
+    ``hi = 1/(c (gamma theta_+ - 1))``: no edge search.  The kernel's gap
+    ``(1 - F(m))/m`` has the sign of ``root - m`` on all of ``(0, inf)``, so its
+    bisection guard holds beyond ``m_edge`` too, where ``lambda(m)`` rises
+    again and the Newton steps that leave the bracket are refused.
     """
-    if model.gamma * theta <= 1.0:
-        raise RegimeError(
-            f"ridgeless truncated solve needs theta * gamma > 1, got {model.gamma * theta!r}"
-        )
-    truncated = truncate_top(model.spectrum, theta)
-    sub = ModelSpec(model.gamma, model.sigma2, truncated)
-    return solve_m(sub, 0.0)
+    thetas = np.asarray(thetas, dtype=float)
+    gamma, h = model.gamma, model.spectrum.h
+    kept = np.zeros((thetas.size, h.size))
+    errors = [None] * thetas.size
+    for i, theta in enumerate(thetas.tolist()):
+        try:
+            if gamma * theta <= 1.0:
+                raise RegimeError(f"ridgeless truncated solve needs theta * gamma > 1, got {gamma * theta!r}")
+            kept[i] = split_top_mass(model.spectrum, theta)[2]
+        except DomainError as exc:
+            errors[i] = exc
+    e_h = gamma * row_dot(kept, h)
+    inv_hi = np.where((kept > 0.0) & (h > 0.0), h, np.inf).min(axis=1) * (gamma * row_dot(kept, h > 0.0) - 1.0)
+    solve = (e_h < _M_LIMIT) & (inv_hi > 1.0 / _M_LIMIT)  # rows in error have no kept mass
+    for i in np.flatnonzero(~solve):
+        errors[i] = errors[i] or DomainError(f"theta={float(thetas[i])!r} {_OUT_OF_RANGE}")
+    m = np.full_like(thetas, np.nan)
+    m[solve] = _grid_roots(model, np.zeros(solve.sum()), 1.0 / e_h[solve], 1.0 / inv_hi[solve], kept[solve])
+    return m, kept, errors
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +259,10 @@ def block_rows(rows: int, atoms: int) -> int:
     return max(1, min(rows, _BLOCK_ELEMENTS // atoms))
 
 
-# ``a @ w`` one row at a time: the sum of a row depends on that row alone, so
-# a row of a grid gets the same bits as the row on its own (BLAS gemv rounds
-# a row differently with other rows beside it).  np.vecdot is numpy >= 2.
-row_dot = getattr(np, "vecdot", None) or (lambda a, w: np.einsum("ij,j->i", a, w))
+# ``a @ w`` (or, for a ``w`` of rows, row by row) one row at a time: the sum of
+# a row depends on that row alone, so a row of a grid gets the same bits as
+# the row on its own (BLAS gemv rounds it differently beside other rows).
+row_dot = getattr(np, "vecdot", None) or (lambda a, w: np.einsum("...j,...j->...", a, w))
 
 
 def solve_m_grid(model: ModelSpec, lams) -> np.ndarray:
@@ -251,14 +283,16 @@ def solve_m_grid(model: ModelSpec, lams) -> np.ndarray:
     return _grid_roots(model, lams, lo, hi)
 
 
-def _grid_roots(model: ModelSpec, lams: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    h, w = model.spectrum.h, model.spectrum.w
+def _grid_roots(model: ModelSpec, lams: np.ndarray, lo: np.ndarray, hi: np.ndarray, w=None) -> np.ndarray:
+    """Roots in ``[lo, hi]`` at every ``lam`` of ``lams``, under ``w[i]`` if given."""
+    h, w = model.spectrum.h, model.spectrum.w if w is None else w
     m = np.empty_like(lams)
     step = block_rows(lams.size, h.size)
     work = np.empty((step, h.size))  # reused by every block
     for i in range(0, lams.size, step):
         rows = slice(i, i + step)
-        m[rows] = _newton_block(model.gamma, h, w, lams[rows], lo[rows], hi[rows], work, _MAX_ITER)
+        wr = w[rows] if w.ndim == 2 else w
+        m[rows] = _newton_block(model.gamma, h, wr, lams[rows], lo[rows], hi[rows], work, _MAX_ITER)
     return m
 
 
@@ -300,13 +334,13 @@ def _newton_block(gamma, h, w, target, lo, hi, work, max_iter):
     x = 0.5 * (lo + hi)
     dx = dx_old = hi - lo
     for _ in range(max_iter):
-        buf = work[: x.size]
+        buf, wr = work[: x.size], w[rows] if w.ndim == 2 else w
         np.multiply.outer(x, h, out=buf)
         buf += 1.0
         np.divide(h, buf, out=buf)  # h / (1 + h m)
-        gap = 1.0 / x - gamma * row_dot(buf, w) - target
+        gap = 1.0 / x - gamma * row_dot(buf, wr) - target
         buf *= buf
-        newton = x - gap / (gamma * row_dot(buf, w) - 1.0 / (x * x))  # d lambda / dm < 0
+        newton = x - gap / (gamma * row_dot(buf, wr) - 1.0 / (x * x))  # d lambda / dm < 0 left of m_edge
         done = (np.abs(newton - x) <= _GRID_RTOL * x) | (hi - lo <= _GRID_RTOL * hi)
         out[rows[done]] = np.clip(newton, lo, hi)[done]
         if done.all():

@@ -9,9 +9,12 @@ import numpy as np
 from ridgelab import (
     DomainError,
     IllConditionedDraw,
+    JointSpectrum,
     MatrixEnsemble,
     ModelSpec,
     MonteCarloConfig,
+    RegimeError,
+    RiskEvaluation,
     SolverError,
     asymptotic_risk,
     interpolate_penalty,
@@ -23,6 +26,7 @@ from ridgelab import (
     sample_design,
     solve_m,
     solve_m_theta,
+    split_top_mass,
     weighted_model,
 )
 from ridgelab.montecarlo import _DROP_GUARD, _NULLSPACE_CUTOFF
@@ -157,6 +161,65 @@ def loop_conditional_means(spectrum):
             masses.append(w)
     means = [m / w for m, w in zip(means, masses)]
     return np.array(levels), np.array(means), np.array(masses)
+
+
+def loop_merged(spectrum, tol: float = 1e-12):
+    """``JointSpectrum.merged`` one atom at a time in ``(h, g)`` order: an atom
+    joins the current group when its ``h`` and ``g`` both lie within ``tol``
+    of the group's first atom, whose weight it adds to."""
+    order = np.lexsort((spectrum.g, spectrum.h))
+    out: list[list[float]] = []
+    for i in order:
+        hi, gi, wi = float(spectrum.h[i]), float(spectrum.g[i]), float(spectrum.w[i])
+        if out and abs(out[-1][0] - hi) <= tol and abs(out[-1][1] - gi) <= tol:
+            out[-1][2] += wi
+        else:
+            out.append([hi, gi, wi])
+    return JointSpectrum(out, truncated=spectrum.truncated)
+
+
+def truncate_top(spectrum, theta: float):
+    """Keep the top-``theta`` eigenvalue mass; park the rest at ``h = 0``.
+
+    Models projecting data onto the leading principal subspace: dropped
+    directions keep their signal energy (it becomes approximation error)
+    but contribute nothing to the design.  The boundary atom is split
+    proportionally so the retained mass is exactly ``theta``.
+    """
+    h, g, w_kept, w_dropped = split_top_mass(spectrum, theta)
+    atoms = []
+    for hi, gi, wk, wd in zip(h, g, w_kept, w_dropped):
+        if wk > 0:
+            atoms.append((hi, gi, wk))
+        if wd > 0:
+            atoms.append((0.0, gi, wd))
+    return JointSpectrum(atoms, truncated=True)
+
+
+def pointwise_pcr_risk(model: ModelSpec, theta: float) -> RiskEvaluation:
+    """Truncated-regression risk at one ``theta`` through its own truncated
+    model: :func:`truncate_top`, then the principal solve at ``lam = 0``
+    bracketed by ``find_edge``, and the grouped form (retained and dropped
+    mass summed separately).  The boundary band ``|theta * gamma - 1| <
+    1e-11`` is a RegimeError."""
+    if not (0.0 < theta <= 1.0):
+        raise DomainError(f"theta must lie in (0, 1], got {theta!r}")
+    tg = theta * model.gamma
+    if abs(tg - 1.0) < 1e-11:
+        raise RegimeError(f"theta * gamma = {tg!r} sits in the divergent boundary band")
+    h, g, w_kept, w_dropped = split_top_mass(model.spectrum, theta)
+    gh = g * h
+    if tg > 1.0:
+        sol = solve_m(ModelSpec(model.gamma, model.sigma2, truncate_top(model.spectrum, theta)), 0.0)
+        pref = sol.m_prime / sol.m**2
+        kept_term = model.gamma * float(np.dot(w_kept, gh / (1.0 + h * sol.m) ** 2))
+        dropped_term = model.gamma * float(np.dot(w_dropped, gh))
+        bias = pref * (kept_term + dropped_term)
+        variance = model.sigma2 * pref
+    else:
+        bias = model.gamma * float(np.dot(w_dropped, gh)) / (1.0 - tg)
+        variance = model.sigma2 / (1.0 - tg)
+    return RiskEvaluation(lam=0.0, total=bias + variance, bias=bias, variance=variance)
 
 
 # The capped penalty grid of the scalar search: 512 points, geometric toward

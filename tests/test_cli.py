@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +62,42 @@ class TestSolveM:
         assert code == 0
         assert out == ""
         assert path.read_text() == streamed
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call may leave state in it."""
+
+    ARGV = ["risk-curve", "--gamma", "2", "--recipe", "dc-ct", "--sigma2", "0.5", "--lambda-grid", "-0.1:2:5"]
+    COMMANDS = ("solve-m", "risk-curve", "lambda-opt", "pcr-curve", "weight-compare", "simulate", "reproduce",
+                "selftest")
+
+    def test_second_call_prints_what_a_fresh_process_prints(self, capsys) -> None:
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        fresh = subprocess.run([sys.executable, "-m", "ridgelab.cli", *self.ARGV], capture_output=True, text=True,
+                               env=env, check=True).stdout
+        assert [run(capsys, self.ARGV) for _ in range(2)] == [(0, fresh)] * 2
+
+    def test_usage_error_after_a_successful_call_is_exit_1(self, capsys) -> None:
+        assert run(capsys, self.ARGV)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["risk-curve", "--recipe", "dc-ct", "--lambda-grid", "1"])
+        assert exc.value.code == 1
+
+    def test_format_flag_does_not_carry_over(self, capsys) -> None:
+        _, csv_text = run(capsys, self.ARGV)
+        code, json_text = run(capsys, self.ARGV + ["--format", "json"])
+        assert code == 0 and json.loads(json_text)["columns"][0] == "lambda"
+        assert run(capsys, self.ARGV) == (0, csv_text)
+        assert csv_text.startswith("lambda,total,")
+
+    def test_help_lists_every_subcommand(self, capsys) -> None:
+        run(capsys, self.ARGV)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in self.COMMANDS)
 
 
 class TestSpectrumResolution:

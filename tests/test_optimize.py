@@ -173,6 +173,19 @@ class TestSearch:
         assert out.lambda_opt == pytest.approx(1000.0, rel=1e-12)
         assert (out.method, out.sign_class) == ("closed_form", "positive")
 
+    def test_flat_optimum_far_below_gamma_e_h_returns_the_closed_form(self, monkeypatch) -> None:
+        # lambda(m) cancels terms of size gamma E[h] = 1.5e9, so the search fixes
+        # lambda_opt = 1.0573e-3 to about 1.5e-5, not to the 1e-6 of the check alone
+        model = ModelSpec(20.0, 1.0, point_mass(74108375.84, 945.81))
+        out = lambda_opt_search(model)
+        assert (out.method, out.sign_class) == ("closed_form", "positive")
+        assert out.lambda_opt == pytest.approx(1.0 / 945.81, rel=1e-12)
+        # a closed form off by 1e-4 still fails the check
+        wrong = dataclasses.replace(lambda_opt_closed_form(model), lambda_opt=out.lambda_opt + 1e-4)
+        monkeypatch.setattr(optimize, "lambda_opt_closed_form", lambda model: wrong)
+        with pytest.raises(SolverError, match="disagrees with the applicable closed form"):
+            lambda_opt_search(model)
+
     def test_closed_form_inside_the_domain_is_cross_checked(self, monkeypatch) -> None:
         model = ModelSpec(2.0, 0.4, FLAT)
         wrong = dataclasses.replace(lambda_opt_closed_form(model), lambda_opt=1.0)

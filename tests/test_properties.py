@@ -6,7 +6,8 @@ relative to the terms that cancel in it, ``max(|lambda|, 1/|m|)``.  The
 optimum search is checked against the capped scalar search of
 ``tests/oracles.py`` where that search's optimum is interior, and against
 a dense penalty grid out to 1e12 everywhere.  Each row of a risk curve is
-checked against the risk at its point alone.
+checked against the risk at its point alone, and each row of a PCR curve
+against the pointwise PCR solve of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from ridgelab import (
     asymptotic_risk,
     find_edge,
     lambda_opt_search,
+    pcr_curve,
     risk_curve,
     solve_m,
 )
 from ridgelab.stieltjes import solve_m_grid
 
-from oracles import scalar_lambda_opt_search
+from oracles import pointwise_pcr_risk, scalar_lambda_opt_search
 
 mp.mp.dps = 40
 TINY = mp.mpf(10) ** -30
@@ -206,3 +208,42 @@ def test_curve_rows_match_the_risk_at_their_points(problem) -> None:
         assert isinstance(row, RiskEvaluation) and row.lam == lam
         for got, want in ((row.total, alone.total), (row.bias, alone.bias), (row.variance, alone.variance)):
             assert abs(got - want) <= 1e-12 * abs(want), (lam, got, want)
+
+
+@st.composite
+def pcr_problems(draw):
+    k = draw(st.integers(1, 8))
+    levels = [10.0 ** draw(st.floats(-6, 6)) for _ in range(draw(st.integers(1, k)))]
+    h = [draw(st.sampled_from(levels)) for _ in range(k)]  # tied levels whenever k > len(levels)
+    g = [draw(st.floats(0, 3)) for _ in range(k)]
+    w = np.array([draw(st.floats(0.05, 1)) for _ in range(k)])
+    w /= w.sum()
+    gamma = draw(st.floats(0.5, 10))
+    model = ModelSpec(gamma, draw(st.sampled_from([0.0, 0.1, 1.0])), JointSpectrum(np.column_stack([h, g, w])))
+    # both sides of theta * gamma = 1, from inside the divergent band out to 0.3 away
+    near = [(1.0 + s * 10.0 ** draw(st.floats(-13, -0.5))) / gamma for s in (-1.0, 1.0) for _ in range(3)]
+    cuts = np.cumsum(np.bincount(np.unique(-np.array(h), return_inverse=True)[1], weights=w))  # level boundaries
+    thetas = near + [1.0 / gamma, 1.0, 0.0, 1.5, *cuts.tolist(), draw(st.floats(0.01, 1.0))]
+    return model, draw(st.permutations(thetas))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(pcr_problems())
+def test_pcr_curve_rows_match_the_pointwise_solve(problem) -> None:
+    # Near theta * gamma = 1 the margin 1 - gamma E[(hm/(1+hm))^2] cancels to
+    # about |theta * gamma - 1|, and both routes lose digits to it alike (to
+    # 1.1e-15 / |theta * gamma - 1| over 3,000 random spectra, each route
+    # alike against a 50-digit reference); 1e-12 holds from 1e-2 away.
+    model, thetas = problem
+    rows = pcr_curve(model, thetas)
+    assert len(rows) == len(thetas)
+    for theta, row in zip(thetas, rows):
+        try:
+            alone = pointwise_pcr_risk(model, theta)
+        except DomainError as exc:
+            assert type(row) is type(exc), (theta, row, exc)
+            continue
+        assert isinstance(row, RiskEvaluation), (theta, row)
+        rtol = max(1e-12, 1e-14 / abs(theta * model.gamma - 1.0))
+        for got, want in ((row.total, alone.total), (row.bias, alone.bias), (row.variance, alone.variance)):
+            assert abs(got - want) <= rtol * abs(want), (theta, got, want)

@@ -26,6 +26,7 @@ from ridgelab import (
     weighted_model,
     weighted_risk,
 )
+import ridgelab.stieltjes as stieltjes
 
 from oracles import alpha_path_state, alternative_total_risk, assert_pcr_forms_agree
 
@@ -202,6 +203,27 @@ class TestPcr:
         thetas = [0.3, 0.75, 1.0]
         for theta, row in zip(thetas, pcr_curve(model, thetas)):
             assert row.total == pcr_risk(model, theta).total
+            assert row == pcr_risk(model, theta)  # bias and variance too, bit for bit
+
+    def test_one_kernel_call_and_no_edge_search_per_curve(self, monkeypatch) -> None:
+        calls = {"kernel": [], "edge": 0}
+        kernel = stieltjes._newton_block
+
+        def counting_kernel(gamma, h, w, target, *args):
+            calls["kernel"].append(w.shape)
+            return kernel(gamma, h, w, target, *args)
+
+        def counting_edge(model):
+            calls["edge"] += 1
+            return stieltjes._edge(ModelSpec(model.gamma, 0.0, model.spectrum))
+
+        monkeypatch.setattr(stieltjes, "_newton_block", counting_kernel)
+        monkeypatch.setattr(stieltjes, "find_edge", counting_edge)
+        model = ModelSpec.with_snr(5.0, 50.0, recipe_spectrum("fig7-other"))  # tied levels
+        thetas = [0.05, 0.19, 0.2, 0.21, 0.3, 0.5, 0.6, 0.75, 1.0, 1.3]
+        rows = pcr_curve(model, thetas)
+        assert [type(row) for row in rows] == [RiskEvaluation] * 2 + [RegimeError] + [RiskEvaluation] * 6 + [DomainError]
+        assert calls == {"kernel": [(6, 3)], "edge": 0}  # one row of kept weights per theta * gamma > 1
 
     def test_curve_keeps_each_points_error(self) -> None:
         rows = pcr_curve(ModelSpec(2.0, 0.1, ALIGNED_TWO_POINT), [0.5, 1.2, 0.75])

@@ -18,8 +18,8 @@ from ridgelab import (
     relate,
     split_top_mass,
     spectrum_from_json,
-    truncate_top,
 )
+from oracles import loop_merged, truncate_top
 
 
 class TestJointSpectrum:
@@ -64,6 +64,40 @@ class TestJointSpectrum:
         merged = spec.merged()
         assert merged.n_atoms == 2
         assert merged.expect(lambda h, g: h * g) == pytest.approx(spec.expect(lambda h, g: h * g))
+
+    @pytest.mark.parametrize("atoms", [
+        [(1.0, 2.0, 0.3), (3.0, 1.0, 0.1), (1.0, 2.0, 0.2), (3.0, 1.0, 0.1), (1.0, 2.0, 0.3)],
+        # h gaps inside (0, tol]: the third atom is within tol of the second, not of the anchor
+        [(1.0, 1.0, 0.25), (1.0 + 6e-13, 1.0, 0.25), (1.0 + 1.2e-12, 1.0, 0.25), (2.0, 1.0, 0.25)],
+        # a g chain longer than tol at one h
+        [(1.0, 1.0 + k * 6e-13, 0.2) for k in range(5)],
+        # the last atom is beyond tol of its predecessor in g, but within tol of the anchor
+        [(1.0, 1.0, 0.4), (1.0 + 1e-13, 1.0 + 8e-13, 0.3), (1.0 + 2e-13, 1.0 - 5e-13, 0.3)],
+        # unsorted, with exact copies, ties in h and ties in g
+        [(h, g, 0.05) for h, g in np.random.default_rng(3).choice([1.0, 2.0, 5.0], (20, 2))],
+        [(h, g, 1.0 / 64) for h, g in np.random.default_rng(4).uniform(1.0, 8.0, (64, 2)).round(1)],
+        relate(np.repeat([1.0, 3.0, 5.0, 7.0], 16), np.repeat([1.0, 8.0], [48, 16]), "random", seed=1).atoms,
+    ], ids=["exact-copies", "h-gaps-within-tol", "g-chain", "g-gap-within-anchor-tol", "unsorted-ties",
+            "unsorted-grid", "random-pairing"])
+    def test_merged_is_the_anchor_loop_bit_for_bit(self, atoms) -> None:
+        spec = JointSpectrum(atoms)
+        merged, loop = spec.merged(), loop_merged(spec)
+        assert merged == loop  # h, g and the summed weights, bit for bit
+        assert merged.n_atoms < spec.n_atoms
+
+    def test_built_from_an_array_it_owns_its_atoms(self) -> None:
+        arr = np.array([[1.0, 2.0, 0.25], [3.0, 0.5, 0.75]])
+        spec = JointSpectrum(arr)
+        arr[:] = 7.0
+        assert spec.atoms == ((1.0, 2.0, 0.25), (3.0, 0.5, 0.75))
+        with pytest.raises(ValueError):
+            spec.h[0] = 2.0
+        quads = np.array([[1.0, 2.0, 1.0, 0.5], [4.0, 0.5, 4.0, 0.5]])
+        wspec = WeightedSpectrum(quads)
+        quads[:] = 7.0
+        assert wspec.atoms == ((1.0, 2.0, 1.0, 0.5), (4.0, 0.5, 4.0, 0.5))
+        with pytest.raises(ValueError):
+            wspec.r[0] = 2.0
 
     def test_equality_and_hash(self) -> None:
         a = JointSpectrum([(1.0, 2.0, 0.5), (3.0, 1.0, 0.5)])

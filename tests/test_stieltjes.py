@@ -17,12 +17,11 @@ from ridgelab import (
     point_mass,
     solve_m,
     solve_m_theta,
-    truncate_top,
     Uniform,
 )
 from ridgelab.stieltjes import _companion_direct, solve_m_grid
 
-from oracles import second_derivative, solve_companion
+from oracles import second_derivative, solve_companion, truncate_top
 
 
 def isotropic_root(gamma: float, lam: float) -> float:
